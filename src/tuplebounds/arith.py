@@ -4,7 +4,8 @@ Everything downstream leans on four things provided here:
 
 * a cached prime sieve wrapped in :class:`PrimeTable`,
 * primorials and the partial Euler products ``prod_{p <= n} (1 - 1/p)``,
-* Euler's totient via trial-division factorisation,
+* Euler's totient, one value by trial-division factorisation or a whole
+  range by a numpy sieve,
 * exact decimal rendering of rationals at a requested number of
   significant digits (round to nearest, ties away from zero).
 
@@ -19,6 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
+
+import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
@@ -124,6 +127,22 @@ def totient(n: int) -> int:
     for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
+
+
+def totients_up_to(n: int) -> np.ndarray:
+    """``phi(i)`` for every ``i`` in ``[0, n]`` as an ``int32`` array (``phi(0) = 0``).
+
+    Sieves over the primes of :func:`primes_up_to`, so ``n`` is capped by
+    ``MAX_SIEVE_LIMIT``; ``phi(i) <= i`` keeps every value in ``int32``.
+    Each prime ``p`` takes ``phi(i) // p`` off every multiple ``i``; the
+    quotient is exact whichever order the primes of ``i`` come in.
+    """
+    primes = primes_up_to(n)
+    phi = np.arange(n + 1, dtype=np.int32)
+    for p in primes:
+        multiples = phi[p::p]
+        multiples -= multiples // p
+    return phi
 
 
 def is_prime(n: int) -> bool:

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, exp, log
 
+import numpy as np
+
 from . import arith
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, RegressionFailure, ResourceLimitError
 from .tuples import IntTuple, is_admissible
 
 SEARCH_BUDGET = 10**7
@@ -26,14 +28,62 @@ SEARCH_BUDGET = 10**7
 DEFAULT_C_LOWER = exp(-arith.GAMMA)
 
 
-# phi(q) >= sqrt(q/2) for every q >= 1, so (m-1)*phi(q) < k forces
-# q < 2*(k/(m-1))^2; searching that far is exhaustive and certifying.
+# Constant in the Rosser-Schoenfeld bound n/phi(n) < f(n) used by _q_cutoff;
+# 2.51 exceeds the 2.50637 that their exceptional n = 223092870 needs.
+_RS_CONSTANT = 2.51
+# Slack on the float comparison in _q_cutoff, in log units; the float64
+# error of these logs stays near 1e-12 even for 1000-digit n.
+_RS_SLACK = 1e-9
+
+
+def _rs_log_ratio(n: int) -> float:
+    """log(n / f(n)) with f(n) = e^gamma log log n + 2.51/log log n, for n >= 3.
+
+    Taken in logs so that integers beyond float range are handled.
+    """
+    L = log(log(n))
+    return log(n) - log(exp(arith.GAMMA) * L + _RS_CONSTANT / L)
+
+
 def _q_cutoff(m: int, k: int) -> int:
-    return 2 * k * k // ((m - 1) ** 2) + 1
+    """Search range [1, N] certain to hold every q with (m-1)*phi(q) < k.
+
+    Rosser & Schoenfeld, Illinois J. Math. 6 (1962), Theorem 15: for
+    n >= 3, n/phi(n) < e^gamma log log n + 5/(2 log log n), except for
+    n = 2*3*5*7*11*13*17*19*23 = 223092870, where 5/2 must be replaced
+    by 2.50637; with 2.50637 the bound holds for every n >= 3.  So with
+    f(n) = e^gamma log log n + 2.51/log log n, phi(n) > n/f(n) for every
+    n >= 3.
+
+    (m-1)*phi(q) < k means phi(q) <= B = (k-1)//(m-1).  n/f(n) increases
+    for n >= 3 (f >= 2*sqrt(2.51 e^gamma) > 4 while n*f'(n) < e^gamma /
+    log n < 2), so once N/f(N) > B every q >= N has phi(q) > B.  N is
+    the smallest such N >= 3 found by bisection, up to a float slack,
+    capped by the elementary cutoff from phi(q) >= sqrt(q/2), which
+    forces q < 2*(k/(m-1))^2.  This is a search range, not a stated
+    bound: max_q_for still scans all of [1, N] exactly.
+    """
+    hi = 2 * k * k // ((m - 1) ** 2) + 1
+    target = log((k - 1) // (m - 1)) + _RS_SLACK
+    if _rs_log_ratio(hi) <= target:
+        return hi
+    lo = 3  # 3/f(3) < 1 <= B
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rs_log_ratio(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def max_q_for(m: int, k: int, search_budget: int = SEARCH_BUDGET) -> int:
-    """Largest q with (m-1)*phi(q) < k, by certified exhaustive search."""
+    """Largest q with (m-1)*phi(q) < k, by certified exhaustive search.
+
+    Scans a totient sieve over [1, _q_cutoff(m, k)]; the cutoff's
+    docstring gives the Rosser-Schoenfeld certificate that no larger q
+    qualifies.
+    """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     if k < m:
@@ -43,11 +93,9 @@ def max_q_for(m: int, k: int, search_budget: int = SEARCH_BUDGET) -> int:
         raise ResourceLimitError(
             f"q-search cutoff {cutoff} exceeds budget {search_budget}"
         )
-    best = 1
-    for q in range(1, cutoff + 1):
-        if (m - 1) * arith.totient(q) < k:
-            best = q
-    return best
+    phi = arith.totients_up_to(cutoff)
+    # phi[q] = phi(q), and phi(1) = 1 <= (k-1)//(m-1), so the last hit is a q >= 1.
+    return int(np.flatnonzero(phi <= (k - 1) // (m - 1))[-1])
 
 
 @dataclass(frozen=True)
@@ -204,9 +252,12 @@ class DeltaChainReport:
 def delta_m_chain(m: int, c: float = 3.82, search_budget: int = SEARCH_BUDGET) -> DeltaChainReport:
     """Chain k_m = ceil(e^(c*m)) (k_2 pinned to 50) into the q-search.
 
-    The q-search is certified only when its cutoff fits the budget; for
-    m >= 3 the cutoff is already in the billions, so the report falls
-    back to formula values with the reason recorded.
+    The q-search is certified only when its cutoff fits the budget.  At
+    the default c the Rosser-Schoenfeld cutoff fits for m <= 4 (about
+    2.6e5 at m = 3 and 8.6e6 at m = 4); from m = 5 on it does not, and
+    the report falls back to formula values with the reason recorded.
+    A congruence upper bound below the e^(-c m^2) scale raises
+    RegressionFailure.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
@@ -221,9 +272,9 @@ def delta_m_chain(m: int, c: float = 3.82, search_budget: int = SEARCH_BUDGET) -
     reason = None
     if k_m is None:
         reason = f"k_m = ceil(e^({c}*{m})) overflows evaluation"
-    elif _q_cutoff(m, k_m) > search_budget:
+    elif (cutoff := _q_cutoff(m, k_m)) > search_budget:
         reason = (
-            f"q-search cutoff {_q_cutoff(m, k_m)} for k_m={k_m} exceeds "
+            f"q-search cutoff {cutoff} for k_m={k_m} exceeds "
             f"budget {search_budget}; formula values only"
         )
     else:
@@ -233,7 +284,11 @@ def delta_m_chain(m: int, c: float = 3.82, search_budget: int = SEARCH_BUDGET) -
     ordering_ok = None
     if congruence is not None:
         ordering_ok = float(congruence.density) >= exp(-c * m * m)
-        assert ordering_ok, "congruence upper fell below the e^(-c m^2) scale"
+        if not ordering_ok:
+            raise RegressionFailure(
+                f"congruence upper 1/{congruence.q}^{m - 1} fell below "
+                f"the e^(-{c}*{m}^2) scale"
+            )
     return DeltaChainReport(
         m=m,
         c=c,

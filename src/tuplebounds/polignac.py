@@ -21,7 +21,12 @@ from fractions import Fraction
 from math import gcd
 
 from . import arith
-from .errors import ConstructionFailedError, DomainError, WindowTooLargeError
+from .errors import (
+    ConstructionFailedError,
+    DomainError,
+    RegressionFailure,
+    WindowTooLargeError,
+)
 from .report import BoundReport
 from .tuples import IntTuple, is_admissible
 
@@ -54,40 +59,43 @@ class EtaBounds:
 
 
 def eta_bounds(ell: int) -> EtaBounds:
-    """Lower bound plus the upper bound at every valid y, best marked."""
+    """Lower bound plus the upper bound at every valid y, best marked.
+
+    Keeps a running Mertens product over y, so the scan costs one
+    Fraction division per y.  A best upper bound below the lower bound
+    raises RegressionFailure.
+    """
     lower = eta_lower(ell)
-    upper_by_y = {y: eta_upper(ell, y) for y in range(1, ell)}
+    prime_set = set(arith.primes_up_to(ell))
+    prod = Fraction(1)
+    upper_by_y: dict[int, Fraction] = {}
+    for y in range(1, ell):
+        if y in prime_set:
+            prod *= Fraction(y - 1, y)
+        upper_by_y[y] = prod / (ell - y)
     best = min(upper_by_y.items(), key=lambda item: item[1]) if upper_by_y else None
-    if best is not None:
-        assert lower <= best[1]
+    if best is not None and lower > best[1]:
+        raise RegressionFailure(
+            f"eta_lower({ell}) exceeds the upper bound at y = {best[0]}"
+        )
     return EtaBounds(ell=ell, lower=lower, upper_by_y=upper_by_y, best_upper=best)
 
 
 def delta2_lower(k: int, sig_digits: int = 12) -> BoundReport:
     """min over ell in [1, k-1] of eta_lower(ell), with the argmin.
 
-    Scans with a running prime product rather than recomputing each
-    partial product from scratch.
+    eta_lower(ell) = M(ell+1)/ell with M(x) = prod_{p <= x} (1 - 1/p)
+    strictly decreases in ell (M does not increase and 1/ell strictly
+    decreases), so the minimum is eta_lower(k-1), attained at k-1 only.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    prime_set = set(arith.primes_up_to(k))
-    prod = Fraction(1)
-    best_val: Fraction | None = None
-    best_ell = 0
-    for ell in range(1, k):
-        if ell + 1 in prime_set:
-            prod *= Fraction(ell, ell + 1)
-        val = prod / ell
-        if best_val is None or val < best_val:
-            best_val, best_ell = val, ell
-    assert best_val is not None
     return BoundReport(
         name="delta2_lower",
-        value=best_val,
+        value=eta_lower(k - 1),
         sig_digits=sig_digits,
         formula=f"minimum of eta_lower(ell) over ell in [1, {k - 1}]",
-        detail={"k": k, "argmin_ell": best_ell},
+        detail={"k": k, "argmin_ell": k - 1},
     )
 
 

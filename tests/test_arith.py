@@ -5,10 +5,11 @@ from decimal import Decimal
 from fractions import Fraction
 from math import exp, gcd, log
 
+import numpy as np
 import pytest
 
 from tuplebounds import arith
-from tuplebounds.errors import DomainError
+from tuplebounds.errors import DomainError, ResourceLimitError
 
 
 def _trial_division_primes(n):
@@ -82,6 +83,22 @@ def test_totient_multiplicative():
         b = rng.randrange(1, 1_000)
         if gcd(a, b) == 1:
             assert arith.totient(a * b) == arith.totient(a) * arith.totient(b)
+
+
+def test_totients_up_to_matches_trial_division():
+    phi = arith.totients_up_to(5_000)
+    assert phi.dtype == np.int32
+    assert phi.tolist() == [0] + [arith.totient(n) for n in range(1, 5_001)]
+    assert arith.totients_up_to(0).tolist() == [0]
+    assert arith.totients_up_to(1).tolist() == [0, 1]
+    assert arith.totients_up_to(2).tolist() == [0, 1, 1]
+
+
+def test_totients_up_to_domain_and_cap():
+    with pytest.raises(DomainError):
+        arith.totients_up_to(-1)
+    with pytest.raises(ResourceLimitError):
+        arith.totients_up_to(arith.MAX_SIEVE_LIMIT + 1)
 
 
 # Frozen renderings, checked against integer long division by hand.

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from tuplebounds import arith, cli
+from tuplebounds import arith, cli, plausible, polignac
 
 
 def run(capsys, *argv):
@@ -40,8 +42,14 @@ def test_check_constants_passes(capsys):
 
 
 def test_check_constants_detects_injected_fault(capsys, monkeypatch):
-    orig = arith.totient
-    monkeypatch.setattr(arith, "totient", lambda n: orig(n) + (2 if n > 100 else 0))
+    orig = arith.totients_up_to
+
+    def faulty(n):
+        phi = orig(n)
+        phi[101:] += 2
+        return phi
+
+    monkeypatch.setattr(arith, "totients_up_to", faulty)
     code, env = run(capsys, "check-constants")
     assert code == 2
     assert env["passed"] is False
@@ -162,7 +170,7 @@ def test_plausible_upper(capsys):
 
 
 def test_plausible_upper_resource_limit(capsys):
-    code, env = run(capsys, "plausible-upper", "--m", "2", "--k", "1000000")
+    code, env = run(capsys, "plausible-upper", "--m", "2", "--k", "2000000")
     assert code == 4
     assert env["error"]["kind"] == "resource-limit"
 
@@ -194,8 +202,36 @@ def test_delta_chain_feasible_and_not(capsys):
     code, env = run(capsys, "delta-chain", "--m", "3")
     assert code == 0
     r = result_named(env, "delta_m_chain")
+    assert r["feasible"] is True and r["q"] == 240240 and r["ordering_ok"] is True
+    assert (r["congruence_upper"]["num"], r["congruence_upper"]["den"]) == ("1", str(240240**2))
+
+    code, env = run(capsys, "delta-chain", "--m", "5")
+    assert code == 0
+    r = result_named(env, "delta_m_chain")
     assert r["feasible"] is False
     assert "budget" in r["reason"]
+
+
+# The two ordering checks must survive python -O, so they raise
+# RegressionFailure instead of asserting; each fault below breaks one.
+def test_eta_ordering_fault_exits_2(capsys, monkeypatch):
+    orig = polignac.eta_lower
+    monkeypatch.setattr(polignac, "eta_lower", lambda ell: orig(ell) + 1)
+    code, env = run(capsys, "eta", "--ell", "10")
+    assert code == 2
+    assert env["error"]["kind"] == "regression-failure"
+
+
+def test_delta_chain_ordering_fault_exits_2(capsys, monkeypatch):
+    orig = plausible.delta_upper_congruence
+    monkeypatch.setattr(
+        plausible,
+        "delta_upper_congruence",
+        lambda m, k, budget: replace(orig(m, k, budget), density=Fraction(1, 10**9)),
+    )
+    code, env = run(capsys, "delta-chain", "--m", "2")
+    assert code == 2
+    assert env["error"]["kind"] == "regression-failure"
 
 
 def test_asymptotic_template_defaults(capsys):

@@ -1,12 +1,13 @@
 """Congruence-family upper bounds and local-lemma parameter arithmetic."""
 
 from fractions import Fraction
-from math import ceil, exp
+from math import ceil, exp, log
 
+import numpy as np
 import pytest
 
 from tuplebounds import plausible
-from tuplebounds.arith import to_decimal, totient
+from tuplebounds.arith import GAMMA, primes_up_to, to_decimal, totient, totients_up_to
 from tuplebounds.errors import DomainError, ResourceLimitError
 from tuplebounds.tuples import IntTuple, first_k_admissible
 
@@ -26,13 +27,66 @@ def test_max_q_certified_by_direct_scan():
         assert totient(q) >= 50
 
 
+ORACLE_K_MAX = 250
+
+
+@pytest.fixture(scope="module")
+def trial_division_phi():
+    """phi(0..2*ORACLE_K_MAX^2 + 1) from the trial-division ``totient``."""
+    n = 2 * ORACLE_K_MAX**2 + 1
+    return np.array([0] + [totient(q) for q in range(1, n + 1)])
+
+
+def _max_q_old_search(m, k, phi):
+    """The former q-search: every q up to 2k^2/(m-1)^2 + 1.
+
+    phi(q) >= sqrt(q/2) certifies that range on its own, without the
+    Rosser-Schoenfeld bound.
+    """
+    cutoff = 2 * k * k // ((m - 1) ** 2) + 1
+    return int(np.flatnonzero((m - 1) * phi[1 : cutoff + 1] < k)[-1]) + 1
+
+
+def test_max_q_matches_old_search(trial_division_phi):
+    for m in range(2, 6):
+        for k in range(m, ORACLE_K_MAX + 1):
+            assert plausible._q_cutoff(m, k) <= 2 * k * k // ((m - 1) ** 2) + 1
+            got = plausible.max_q_for(m, k)
+            assert got == _max_q_old_search(m, k, trial_division_phi), (m, k)
+
+
+@pytest.mark.parametrize("m,k", [(2, 50), (2, 1_000), (2, 5_000), (3, 2_000), (5, 4_000)])
+def test_max_q_boundary_up_to_cutoff(m, k):
+    best = plausible.max_q_for(m, k)
+    assert (m - 1) * totient(best) < k
+    for q in range(best + 1, plausible._q_cutoff(m, k) + 1):
+        assert (m - 1) * totient(q) >= k
+
+
+def test_rosser_schoenfeld_bound_and_its_exception():
+    # n/phi(n) < f(n), the certificate behind _q_cutoff, at every small n.
+    phi = totients_up_to(100_000)
+    assert all(plausible._rs_log_ratio(n) < log(phi[n]) for n in range(3, 100_001))
+    # Primorials maximise n/phi(n) among integers up to their size.  The
+    # constant each needs in place of 5/2 exceeds 5/2 only at 23#.
+    needed = {}
+    n, ratio = 1, 1.0
+    for p in primes_up_to(71):
+        n, ratio = n * p, ratio * p / (p - 1)
+        if n >= 3:
+            L = log(log(n))
+            needed[n] = (ratio - exp(GAMMA) * L) * L
+    assert [n for n, c in needed.items() if c > 2.5] == [223092870]
+    assert needed[223092870] < 2.50637 < plausible._RS_CONSTANT
+
+
 def test_max_q_domain_and_budget():
     with pytest.raises(DomainError):
         plausible.max_q_for(1, 10)
     with pytest.raises(DomainError):
         plausible.max_q_for(3, 2)
     with pytest.raises(ResourceLimitError):
-        plausible.max_q_for(2, 1_000_000)
+        plausible.max_q_for(2, 2_000_000)
 
 
 def test_congruence_upper_bound_values():
@@ -144,9 +198,19 @@ def test_delta_chain_m2_feasible():
     assert rep.lower_reference_decimal == "2.31196e-7"
 
 
-def test_delta_chain_m3_hits_budget():
+def test_delta_chain_m3_feasible():
     rep = plausible.delta_m_chain(3)
     assert rep.k_m == ceil(exp(3.82 * 3))
+    assert rep.feasible
+    assert rep.reason is None
+    assert rep.congruence is not None and rep.congruence.q == 240240
+    assert rep.congruence.density == Fraction(1, 240240**2)
+    assert rep.ordering_ok is True
+
+
+def test_delta_chain_m5_hits_budget():
+    rep = plausible.delta_m_chain(5)
+    assert rep.k_m == ceil(exp(3.82 * 5))
     assert not rep.feasible
     assert rep.congruence is None
     assert "exceeds" in rep.reason and "budget" in rep.reason

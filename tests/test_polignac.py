@@ -6,7 +6,7 @@ from math import exp, log
 import pytest
 
 from tuplebounds import polignac
-from tuplebounds.arith import GAMMA, mertens_product, primorial, to_decimal
+from tuplebounds.arith import GAMMA, mertens_product, primes_up_to, primorial, to_decimal
 from tuplebounds.errors import ConstructionFailedError, DomainError, WindowTooLargeError
 from tuplebounds.tuples import is_admissible
 
@@ -51,6 +51,12 @@ def test_eta_bounds_49():
         assert b.lower <= v
 
 
+def test_eta_bounds_match_per_y_upper():
+    for ell in (1, 2, 3, 50, 211):
+        b = polignac.eta_bounds(ell)
+        assert b.upper_by_y == {y: polignac.eta_upper(ell, y) for y in range(1, ell)}
+
+
 def test_eta_lower_strictly_decreasing_to_200():
     prev = polignac.eta_lower(1)
     for ell in range(2, 201):
@@ -72,6 +78,26 @@ def test_delta2_lower_is_min_over_ell():
     for k in (3, 7, 20):
         rep = polignac.delta2_lower(k)
         assert rep.value == min(polignac.eta_lower(ell) for ell in range(1, k))
+
+
+def _delta2_running_scan(k):
+    """The former delta2_lower: running prime product, minimum over every ell."""
+    prime_set = set(primes_up_to(k))
+    prod = Fraction(1)
+    best_val, best_ell = None, 0
+    for ell in range(1, k):
+        if ell + 1 in prime_set:
+            prod *= Fraction(ell, ell + 1)
+        val = prod / ell
+        if best_val is None or val < best_val:
+            best_val, best_ell = val, ell
+    return best_val, best_ell
+
+
+def test_delta2_lower_matches_running_scan():
+    for k in [*range(2, 401), 1_000, 2_500, 4_000]:
+        rep = polignac.delta2_lower(k)
+        assert (rep.value, rep.detail["argmin_ell"]) == _delta2_running_scan(k), k
 
 
 def test_delta2_lower_report_shape():
