@@ -2,8 +2,9 @@
 
 Everything downstream leans on four things provided here:
 
-* a cached prime sieve wrapped in :class:`PrimeTable`,
-* primorials and the partial Euler products ``prod_{p <= n} (1 - 1/p)``,
+* a cached prime sieve,
+* primorials, their totients and the partial Euler products
+  ``prod_{p <= n} (1 - 1/p)``,
 * Euler's totient, one value by trial-division factorisation or a whole
   range by a numpy sieve,
 * exact decimal rendering of rationals at a requested number of
@@ -17,7 +18,6 @@ serialising numerator/denominator pairs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -33,7 +33,7 @@ GAMMA = 0.5772156649015329
 MAX_SIEVE_LIMIT = 10_000_000
 
 _cached_limit = 0
-_cached_primes: list[int] = []
+_cached_primes: tuple[int, ...] = ()
 
 
 def _sieve(limit: int) -> list[int]:
@@ -47,28 +47,8 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if flags[i]]
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``, ascending."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def up_to(self, bound: int) -> tuple[int, ...]:
-        """Primes ``<= bound``; requires ``bound <= self.limit``."""
-        if bound > self.limit:
-            raise DomainError(f"bound {bound} exceeds table limit {self.limit}")
-        return self.primes[: bisect_right(self.primes, bound)]
-
-
-def primes_up_to(n: int) -> PrimeTable:
-    """Prime table for the interval ``[2, n]``.
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """All primes in the interval ``[2, n]``, ascending.
 
     The underlying sieve is cached module-wide and grown geometrically,
     so repeated calls with increasing bounds stay cheap.
@@ -80,9 +60,9 @@ def primes_up_to(n: int) -> PrimeTable:
         raise ResourceLimitError(f"sieve bound {n} exceeds cap {MAX_SIEVE_LIMIT}")
     if n > _cached_limit:
         target = min(max(n, 2 * _cached_limit, 1024), MAX_SIEVE_LIMIT)
-        _cached_primes = _sieve(target)
+        _cached_primes = tuple(_sieve(target))
         _cached_limit = target
-    return PrimeTable(n, tuple(_cached_primes[: bisect_right(_cached_primes, n)]))
+    return _cached_primes[: bisect_right(_cached_primes, n)]
 
 
 def primorial(n: int) -> int:
@@ -90,6 +70,14 @@ def primorial(n: int) -> int:
     out = 1
     for p in primes_up_to(n):
         out *= p
+    return out
+
+
+def primorial_totient(n: int) -> int:
+    """``phi(primorial(n)) = prod_{p <= n} (p - 1)`` (empty product is 1)."""
+    out = 1
+    for p in primes_up_to(n):
+        out *= p - 1
     return out
 
 
@@ -146,7 +134,11 @@ def totients_up_to(n: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division against sieved primes."""
+    """Deterministic primality by trial division against sieved primes.
+
+    Raises ResourceLimitError when ``isqrt(n)`` exceeds the sieve cap
+    ``MAX_SIEVE_LIMIT``, so a huge ``n`` is refused at once.
+    """
     if n < 2:
         return False
     for p in primes_up_to(isqrt(n)):

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import arith, density, plausible, polignac, stochastic
 from .arith import rational_to_json, to_decimal
@@ -53,6 +57,11 @@ def run_constant_checks(sig_digits: int = 12) -> dict:
     the congruence upper bound is exactly 1/210, below 0.0048.  The
     envelope carries a "passed" flag plus per-check detail.
     """
+    return _envelope("check-constants", argparse.Namespace(sig_digits=sig_digits))[0]
+
+
+def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
+    sig_digits = a.sig_digits
     eta49 = polignac.eta_lower(49)
     rendered = to_decimal(eta49, 10)
     upper = polignac.eta_upper(49, 13)
@@ -111,21 +120,20 @@ def run_constant_checks(sig_digits: int = 12) -> dict:
             {"q": cong.q},
         ).to_json(),
     ]
-    env = envelope(
-        "check-constants",
-        {"sig_digits": sig_digits},
-        results,
-        notes=[ETA49_NOTE, NOTE_EXISTENCE, NOTE_CONTINUOUS],
-    )
-    env["checks"] = checks
-    env["passed"] = all(c["ok"] for c in checks)
-    if not env["passed"]:
-        env["mismatches"] = [c["name"] for c in checks if not c["ok"]]
-    return env
+    passed = all(c["ok"] for c in checks)
+    extra = {"checks": checks, "passed": passed}
+    if not passed:
+        extra["mismatches"] = [c["name"] for c in checks if not c["ok"]]
+    return results, extra, 0 if passed else 2
 
 
 def run_delta2_report(k: int, sig_digits: int = 12) -> dict:
     """Bundle the pair-density lower bound with every matching upper bound."""
+    return _envelope("delta2-report", argparse.Namespace(k=k, sig_digits=sig_digits))[0]
+
+
+def _delta2_report(a: argparse.Namespace) -> tuple[list, dict, int]:
+    k, sig_digits = a.k, a.sig_digits
     lower = polignac.delta2_lower(k, sig_digits)
     bounds = polignac.eta_bounds(k - 1)
     cong = plausible.delta_upper_congruence(2, k)
@@ -142,68 +150,38 @@ def run_delta2_report(k: int, sig_digits: int = 12) -> dict:
                 {"ell": k - 1, "y": y_best},
             ).to_json()
         )
-    results.append(
+    results += [
         BoundReport(
             "congruence_upper",
             cong.density,
             sig_digits,
             "1 / q^(m-1) at the maximal q",
             {"m": 2, "q": cong.q},
-        ).to_json()
-    )
-    results.append(
+        ).to_json(),
         BoundReport(
             "counting_power_bound", cpb, sig_digits, "(phi(R) / (k R))^m at m = 2"
-        ).to_json()
-    )
-    ratio = lower.value / cong.density
-    results.append(
-        BoundReport("lower_over_congruence_upper", ratio, sig_digits).to_json()
-    )
-    env = envelope("delta2-report", {"k": k, "sig_digits": sig_digits}, results)
-    env["lower_le_congruence_upper"] = lower.value <= cong.density
-    return env
+        ).to_json(),
+        BoundReport(
+            "lower_over_congruence_upper", lower.value / cong.density, sig_digits
+        ).to_json(),
+    ]
+    return results, {"lower_le_congruence_upper": lower.value <= cong.density}, 0
 
 
-def _cmd_check_constants(a: argparse.Namespace) -> tuple[dict, int]:
-    env = run_constant_checks(a.sig_digits)
-    return env, 0 if env["passed"] else 2
+def _attrs(obj: object, *names: str) -> dict:
+    """``{name: obj.name}`` for each name, in order."""
+    return {name: getattr(obj, name) for name in names}
 
 
-def _cmd_delta2_report(a: argparse.Namespace) -> tuple[dict, int]:
-    return run_delta2_report(a.k, a.sig_digits), 0
-
-
-def _cmd_rho_adm(a: argparse.Namespace) -> tuple[dict, int]:
-    if a.mc:
+def _rho_adm(a: argparse.Namespace) -> tuple[list, dict, int]:
+    if a.mode == "mc":
         est = density.rho_adm_mc(a.m, a.range, a.samples, a.seed, a.shards)
-        exact = float(density.rho_adm_exact(a.m).total)
-        results = [
-            {
-                "name": "rho_adm_mc",
-                "estimate": est.estimate,
-                "std_error": est.std_error,
-                "successes": est.successes,
-                "samples": est.samples,
-                "range_bound": est.range_bound,
-                "exact_reference": exact,
-            }
-        ]
-        env = envelope(
-            "rho-adm",
-            {
-                "m": a.m,
-                "mode": "mc",
-                "range": a.range,
-                "samples": a.samples,
-                "sig_digits": a.sig_digits,
-            },
-            results,
-            seed=a.seed,
-            shards=a.shards,
-            notes=[NOTE_MODEL],
-        )
-        return env, 0
+        result = {
+            "name": "rho_adm_mc",
+            **_attrs(est, "estimate", "std_error", "successes", "samples", "range_bound"),
+            "exact_reference": float(density.rho_adm_exact(a.m).total),
+        }
+        return [result], {"notes": [NOTE_MODEL]}, 0
     rep = density.rho_adm_exact(a.m)
     result = BoundReport(
         "rho_adm",
@@ -217,36 +195,20 @@ def _cmd_rho_adm(a: argparse.Namespace) -> tuple[dict, int]:
     if rep.asymptotic is not None:
         result["asymptotic"] = rep.asymptotic
         result["asymptotic_ratio"] = rep.asymptotic_ratio
-    env = envelope(
-        "rho-adm",
-        {"m": a.m, "mode": "exact", "sig_digits": a.sig_digits},
-        [result],
-    )
-    return env, 0
+    parameters = {"m": a.m, "mode": "exact", "sig_digits": a.sig_digits}
+    return [result], {"parameters": parameters}, 0
 
 
-def _cmd_summand_ratio(a: argparse.Namespace) -> tuple[dict, int]:
+def _summand_ratio(a: argparse.Namespace) -> list:
     rep = density.summand_ratio_check(a.m, a.p)
-    results = [
-        {
-            "name": "summand_ratios",
-            "ratios": {
-                str(j): rational_to_json(r, a.sig_digits) for j, r in rep.ratios
-            },
-            "threshold": rep.threshold,
-            "all_above": rep.all_above,
-        }
-    ]
-    env = envelope(
-        "summand-ratio", {"m": a.m, "p": a.p, "sig_digits": a.sig_digits}, results
-    )
-    return env, 0
+    ratios = {str(j): rational_to_json(r, a.sig_digits) for j, r in rep.ratios}
+    return [{"name": "summand_ratios", "ratios": ratios, **_attrs(rep, "threshold", "all_above")}]
 
 
-def _cmd_eta(a: argparse.Namespace) -> tuple[dict, int]:
+def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
     if a.y is not None:
         val = polignac.eta_upper(a.ell, a.y)
-        results = [
+        return [
             BoundReport(
                 "eta_upper",
                 val,
@@ -255,10 +217,6 @@ def _cmd_eta(a: argparse.Namespace) -> tuple[dict, int]:
                 {"ell": a.ell, "y": a.y},
             ).to_json()
         ]
-        env = envelope(
-            "eta", {"ell": a.ell, "y": a.y, "sig_digits": a.sig_digits}, results
-        )
-        return env, 0
     bounds = polignac.eta_bounds(a.ell)
     results = [
         BoundReport(
@@ -271,37 +229,19 @@ def _cmd_eta(a: argparse.Namespace) -> tuple[dict, int]:
     ]
     if bounds.best_upper is not None:
         y_best, val = bounds.best_upper
-        results.append(
-            BoundReport(
-                "best_eta_upper", val, a.sig_digits, "", {"y": y_best}
-            ).to_json()
-        )
-    env = envelope("eta", {"ell": a.ell, "sig_digits": a.sig_digits}, results)
-    env["upper_by_y"] = {
-        str(y): rational_to_json(v, a.sig_digits)
-        for y, v in sorted(bounds.upper_by_y.items())
+        best = BoundReport("best_eta_upper", val, a.sig_digits, "", {"y": y_best})
+        results.append(best.to_json())
+    upper_by_y = {
+        str(y): rational_to_json(v, a.sig_digits) for y, v in sorted(bounds.upper_by_y.items())
     }
-    return env, 0
-
-
-def _cmd_delta2_lower(a: argparse.Namespace) -> tuple[dict, int]:
-    rep = polignac.delta2_lower(a.k, a.sig_digits)
-    env = envelope(
-        "delta2-lower", {"k": a.k, "sig_digits": a.sig_digits}, [rep.to_json()]
-    )
-    return env, 0
+    parameters = {"ell": a.ell, "sig_digits": a.sig_digits}
+    return results, {"parameters": parameters, "upper_by_y": upper_by_y}, 0
 
 
 def _bundle_json(bundle: polignac.ConstructionBundle, sig_digits: int) -> dict:
     return {
         "name": "construction",
-        "ell": bundle.ell,
-        "y": bundle.y,
-        "v": bundle.v,
-        "r": bundle.r,
-        "M": bundle.M,
-        "h": bundle.h,
-        "q": bundle.q,
+        **_attrs(bundle, "ell", "y", "v", "r", "M", "h", "q"),
         "B1": list(bundle.B1),
         "B2": list(bundle.B2),
         "elements": list(bundle.elements),
@@ -309,52 +249,28 @@ def _bundle_json(bundle: polignac.ConstructionBundle, sig_digits: int) -> dict:
     }
 
 
-def _cmd_construct(a: argparse.Namespace) -> tuple[dict, int]:
+def _construct(a: argparse.Namespace) -> list | tuple[list, dict, int]:
     bundle = polignac.build_construction(a.ell, a.y)
-    env = envelope(
-        "construct",
-        {"ell": a.ell, "y": a.y, "verify": a.verify, "sig_digits": a.sig_digits},
-        [_bundle_json(bundle, a.sig_digits)],
-    )
-    code = 0
-    if a.verify:
-        chk = polignac.verify_construction(bundle)
-        env["verification"] = {
-            "ok": chk.ok,
-            "period": chk.period,
-            "checked": chk.checked,
-            "counterexample": chk.counterexample,
-            "density_count": chk.density_count,
-            "density_expected": chk.density_expected,
-        }
-        if not chk.ok:
-            code = 2
-    return env, code
+    results = [_bundle_json(bundle, a.sig_digits)]
+    if not a.verify:
+        return results
+    chk = polignac.verify_construction(bundle)
+    return results, {"verification": asdict(chk)}, 0 if chk.ok else 2
 
 
-def _cmd_pintz(a: argparse.Namespace) -> tuple[dict, int]:
+def _pintz(a: argparse.Namespace) -> list:
     bundle = polignac.build_construction(a.ell, a.y)
     constant = polignac.pintz_interval_constant(bundle, a.k2)
-    results = [
-        {
-            "name": "pintz_interval_constant",
-            "int": str(constant),
-            "decimal": to_decimal(Fraction(constant), a.sig_digits),
-        },
+    decimal = to_decimal(Fraction(constant), a.sig_digits)
+    return [
+        {"name": "pintz_interval_constant", "int": str(constant), "decimal": decimal},
         _bundle_json(bundle, a.sig_digits),
     ]
-    env = envelope(
-        "pintz",
-        {"ell": a.ell, "y": a.y, "k2": a.k2, "sig_digits": a.sig_digits},
-        results,
-        notes=[NOTE_EXISTENCE],
-    )
-    return env, 0
 
 
-def _cmd_plausible_upper(a: argparse.Namespace) -> tuple[dict, int]:
+def _plausible_upper(a: argparse.Namespace) -> list:
     cong = plausible.delta_upper_congruence(a.m, a.k)
-    results = [
+    return [
         BoundReport(
             "congruence_upper",
             cong.density,
@@ -363,118 +279,44 @@ def _cmd_plausible_upper(a: argparse.Namespace) -> tuple[dict, int]:
             {"m": a.m, "k": a.k, "q": cong.q},
         ).to_json()
     ]
-    env = envelope(
-        "plausible-upper", {"m": a.m, "k": a.k, "sig_digits": a.sig_digits}, results
-    )
-    return env, 0
 
 
-def _cmd_lll_check(a: argparse.Namespace) -> tuple[dict, int]:
+def _lll_check(a: argparse.Namespace) -> list:
     par = plausible.lll_parameters(a.m, a.k)
-    results = [
+    return [
         {
             "name": "lll_parameters",
-            "n_events": par.n_events,
-            "dependency_degree": par.dependency_degree,
+            **_attrs(par, "n_events", "dependency_degree"),
             "event_prob_bound": rational_to_json(par.event_prob_bound, a.sig_digits),
             "survival_exponent": rational_to_json(par.survival_exponent, a.sig_digits),
             "exponent_within_target": par.exponent_within_target,
         }
     ]
-    env = envelope(
-        "lll-check", {"m": a.m, "k": a.k, "sig_digits": a.sig_digits}, results
-    )
-    return env, 0
 
 
-def _cmd_counting_bound(a: argparse.Namespace) -> tuple[dict, int]:
-    val = plausible.counting_power_bound(a.m, a.k)
-    results = [
-        BoundReport(
-            "counting_power_bound",
-            val,
-            a.sig_digits,
-            "(phi(R) / (k R))^m with R = primorial(k)",
-            {"m": a.m, "k": a.k},
-        ).to_json()
-    ]
-    env = envelope(
-        "counting-bound", {"m": a.m, "k": a.k, "sig_digits": a.sig_digits}, results
-    )
-    return env, 0
-
-
-def _cmd_delta_chain(a: argparse.Namespace) -> tuple[dict, int]:
+def _delta_chain(a: argparse.Namespace) -> list:
     rep = plausible.delta_m_chain(a.m, a.c)
-    result: dict = {
+    result = {
         "name": "delta_m_chain",
-        "m": rep.m,
-        "c": rep.c,
-        "k_m": rep.k_m,
-        "feasible": rep.feasible,
-        "reason": rep.reason,
-        "lower_reference_decimal": rep.lower_reference_decimal,
+        **_attrs(rep, "m", "c", "k_m", "feasible", "reason", "lower_reference_decimal"),
         "ordering_ok": rep.ordering_ok,
     }
     if rep.congruence is not None:
-        result["congruence_upper"] = rational_to_json(
-            rep.congruence.density, a.sig_digits
-        )
+        result["congruence_upper"] = rational_to_json(rep.congruence.density, a.sig_digits)
         result["q"] = rep.congruence.q
-    env = envelope(
-        "delta-chain",
-        {"m": a.m, "c": a.c, "sig_digits": a.sig_digits},
-        [result],
-        notes=[NOTE_TEMPLATES, NOTE_EXISTENCE],
-    )
-    return env, 0
-
-
-def _cmd_asymptotic_template(a: argparse.Namespace) -> tuple[dict, int]:
-    vals = plausible.asymptotic_template(a.m, a.k, a.c_upper, a.c_lower)
-    results = [
-        {
-            "name": "asymptotic_template",
-            "general_shape": vals.general_shape,
-            "congruence_shape": vals.congruence_shape,
-            "c_upper": vals.c_upper,
-            "c_lower": vals.c_lower,
-        }
-    ]
-    env = envelope(
-        "asymptotic-template",
-        {"m": a.m, "k": a.k, "c_upper": a.c_upper, "c_lower": a.c_lower},
-        results,
-        notes=[NOTE_TEMPLATES],
-    )
-    return env, 0
+    return [result]
 
 
 def _summary(values: list[float]) -> dict:
     n = len(values)
-    return {
-        "count": n,
-        "mean": sum(values) / n,
-        "min": min(values),
-        "max": max(values),
-    }
+    return {"count": n, "mean": sum(values) / n, "min": min(values), "max": max(values)}
 
 
-def _cmd_mc_f_stats(a: argparse.Namespace) -> tuple[dict, int]:
+def _mc_f_stats(a: argparse.Namespace) -> tuple[list, dict, int]:
     x = a.x_mult * arith.primorial(a.k)
     stats = stochastic.sample_f_statistics(
         a.m, a.k, x, a.samples, a.seed, a.c, a.cprime, a.shards
     )
-    tails = {
-        name: {
-            "threshold": t.threshold,
-            "successes": t.successes,
-            "samples": t.samples,
-            "estimate": t.estimate,
-            "std_error": t.std_error,
-        }
-        for name, t in stats.tail_estimates.items()
-    }
     results = [
         {
             "name": "f_statistics",
@@ -482,120 +324,45 @@ def _cmd_mc_f_stats(a: argparse.Namespace) -> tuple[dict, int]:
             "f": _summary(stats.f_values),
             "X": _summary(stats.X_values),
             "zero_counts": {str(p): c for p, c in sorted(stats.zero_counts.items())},
-            "tails": tails,
+            "tails": {name: asdict(t) for name, t in stats.tail_estimates.items()},
         }
     ]
-    env = envelope(
-        "mc-f-stats",
-        {
-            "m": a.m,
-            "k": a.k,
-            "x_mult": a.x_mult,
-            "samples": a.samples,
-            "c": a.c,
-            "cprime": a.cprime,
-        },
-        results,
-        seed=a.seed,
-        shards=a.shards,
-        notes=[NOTE_MODEL],
-    )
-    if a.csv:
-        with open(a.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["f", "X"])
-            writer.writerows(zip(stats.f_values, stats.X_values))
-        env["csv_path"] = a.csv
-    return env, 0
+    if not a.csv:
+        return results, {}, 0
+    with open(a.csv, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f", "X"])
+        writer.writerows(zip(stats.f_values, stats.X_values))
+    return results, {"csv_path": a.csv}, 0
 
 
-def _cmd_chernoff(a: argparse.Namespace) -> tuple[dict, int]:
-    bound = stochastic.chernoff_tail_bound(a.m, a.k, a.r, a.s)
-    results = [
-        {
-            "name": "chernoff_tail_bound",
-            "moment_product": bound.moment_product,
-            "tail_bound": bound.tail_bound,
-        }
-    ]
-    env = envelope(
-        "chernoff", {"m": a.m, "k": a.k, "r": a.r, "s": a.s}, results
-    )
-    return env, 0
-
-
-def _cmd_birthday(a: argparse.Namespace) -> tuple[dict, int]:
-    val = stochastic.birthday_prob_exact(a.m, a.p)
-    results = [
-        BoundReport(
-            "birthday_prob",
-            val,
-            a.sig_digits,
-            "product over i < m of (1 - i/(p-1))",
-            {"m": a.m, "p": a.p},
-        ).to_json()
-    ]
-    env = envelope(
-        "birthday", {"m": a.m, "p": a.p, "sig_digits": a.sig_digits}, results
-    )
-    return env, 0
-
-
-def _cmd_translation_count(a: argparse.Namespace) -> tuple[dict, int]:
+def _translation_count(a: argparse.Namespace) -> list:
     h = _parse_tuple(a.tuple)
     x = a.x_mult * arith.primorial(a.k)
     rep = stochastic.translation_class_count(h, x, a.k)
-    results = [
+    return [
         {
             "name": "translation_class_count",
             "tuple": list(h.elements),
             "x": x,
-            "exact_count": rep.exact_count,
-            "crt_predicted": rep.crt_predicted,
+            **_attrs(rep, "exact_count", "crt_predicted"),
             "agree": rep.exact_count == rep.crt_predicted,
             "density_bound": rational_to_json(rep.density_bound, a.sig_digits),
         }
     ]
-    env = envelope(
-        "translation-count",
-        {"tuple": a.tuple, "k": a.k, "x_mult": a.x_mult, "sig_digits": a.sig_digits},
-        results,
-    )
-    return env, 0
 
 
-def _cmd_lll_survival(a: argparse.Namespace) -> tuple[dict, int]:
+def _lll_survival(a: argparse.Namespace) -> list:
     x = a.x_mult * arith.primorial(a.k)
-    est = stochastic.lll_survival_experiment(
-        a.m, a.k, x, a.trials, a.seed, a.q, a.shards
-    )
-    results = [
-        {
-            "name": "lll_survival",
-            "x": x,
-            "q": est.q,
-            "survivors": est.survivors,
-            "trials": est.trials,
-            "estimate": est.estimate,
-            "std_error": est.std_error,
-            "reference": est.reference,
-        }
-    ]
-    env = envelope(
-        "lll-survival",
-        {"m": a.m, "k": a.k, "q": a.q, "trials": a.trials, "x_mult": a.x_mult},
-        results,
-        seed=a.seed,
-        shards=a.shards,
-        notes=[NOTE_MODEL],
-    )
-    return env, 0
+    est = stochastic.lll_survival_experiment(a.m, a.k, x, a.trials, a.seed, a.q, a.shards)
+    fields = ("q", "survivors", "trials", "estimate", "std_error", "reference")
+    return [{"name": "lll_survival", "x": x, **_attrs(est, *fields)}]
 
 
-def _cmd_admissible(a: argparse.Namespace) -> tuple[dict, int]:
+def _admissible(a: argparse.Namespace) -> list:
     h = _parse_tuple(a.tuple)
     profile = residue_profile(h, len(h.elements))
-    results = [
+    return [
         {
             "name": "admissible",
             "tuple": list(h.elements),
@@ -603,15 +370,6 @@ def _cmd_admissible(a: argparse.Namespace) -> tuple[dict, int]:
             "residue_counts": {str(p): n_p for p, n_p in sorted(profile.items())},
         }
     ]
-    env = envelope("admissible", {"tuple": a.tuple}, results)
-    return env, 0
-
-
-def _cmd_first_k(a: argparse.Namespace) -> tuple[dict, int]:
-    h = first_k_admissible(a.k)
-    results = [{"name": "first_k_admissible", "k": a.k, "elements": list(h.elements)}]
-    env = envelope("first-k", {"k": a.k}, results)
-    return env, 0
 
 
 def _parse_tuple(text: str) -> IntTuple:
@@ -624,6 +382,230 @@ def _parse_tuple(text: str) -> IntTuple:
     return IntTuple.from_iterable(values)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _flag(name: str, type: Callable = int, **kw) -> tuple[str, dict]:
+    """An ``add_argument`` spec; required unless it sets a default or an action."""
+    if "action" not in kw:
+        kw = {"type": type, "required": "default" not in kw, **kw}
+    return name, kw
+
+
+_M = _flag("--m")
+_K = _flag("--k")
+_ELL = _flag("--ell")
+_Y = _flag("--y")
+_P = _flag("--p")
+_SEED = _flag("--seed", default=0)
+_SHARDS = _flag("--shards", default=1)
+_SAMPLES = _flag("--samples", default=10_000)
+_SIG = _flag(
+    "--sig-digits", default=12, help="significant digits in decimal renderings (default 12)"
+)
+_X_MULT_HELP = "window half-width as a multiple of primorial(k)"
+_X_MULT = _flag("--x-mult", default=1, help=_X_MULT_HELP)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand of the table.
+
+    ``flags`` lists ``add_argument`` specs in parameter order; a list
+    inside it is a mutually exclusive group.  ``run(args)`` returns the
+    results list, or a ``(results, extra, code)`` triple whose ``extra``
+    keys are appended to the envelope.  The envelope's parameters echo
+    every flag but ``--csv``, with ``seed`` and ``shards`` lifted to the
+    top level; an ``extra["parameters"]`` replaces them.
+    """
+
+    help: str
+    flags: tuple
+    run: Callable[[argparse.Namespace], list | tuple[list, dict, int]]
+    notes: tuple[str, ...] = ()
+
+    @property
+    def dests(self) -> list[str]:
+        specs = [s for f in self.flags for s in (f if isinstance(f, list) else [f])]
+        return list(
+            dict.fromkeys(kw.get("dest", name[2:].replace("-", "_")) for name, kw in specs)
+        )
+
+
+# The table order is the order argparse lists the subcommands in.
+COMMANDS: dict[str, Command] = {
+    "check-constants": Command(
+        "regression-check the four pinned reference constants",
+        (_SIG,),
+        _constant_checks,
+        (ETA49_NOTE, NOTE_EXISTENCE, NOTE_CONTINUOUS),
+    ),
+    "delta2-report": Command(
+        "pair-density lower bound with matching upper bounds", (_K, _SIG), _delta2_report
+    ),
+    "rho-adm": Command(
+        "admissible m-tuple density",
+        (
+            _M,
+            [
+                _flag("--exact", action="store_const", dest="mode", const="exact",
+                      default="exact", help="exact product (default)"),
+                _flag("--mc", action="store_const", dest="mode", const="mc",
+                      help="Monte Carlo estimate"),
+            ],
+            _flag("--range", default=1_000_000, help="sample window half-width"),
+            _SAMPLES, _SEED, _SHARDS, _SIG,
+        ),
+        _rho_adm,
+    ),
+    "summand-ratio": Command(
+        "consecutive-term ratios of the density sum at (m, p)", (_M, _P, _SIG), _summand_ratio
+    ),
+    "eta": Command(
+        "pair-density bounds at a given ell",
+        (_ELL, _flag("--y", default=None, help="evaluate the upper bound at y"), _SIG),
+        _eta,
+    ),
+    "delta2-lower": Command(
+        "lower bound min over ell of eta_lower",
+        (_K, _SIG),
+        lambda a: [polignac.delta2_lower(a.k, a.sig_digits).to_json()],
+    ),
+    "construct": Command(
+        "covering construction at (ell, y)",
+        (_ELL, _Y, _flag("--verify", action="store_true", help="exhaustive one-period check"),
+         _SIG),
+        _construct,
+    ),
+    "pintz": Command(
+        "interval constant primorial(k2) + span of the construction",
+        (_ELL, _Y, _flag("--k2"), _SIG),
+        _pintz,
+        (NOTE_EXISTENCE,),
+    ),
+    "plausible-upper": Command(
+        "congruence-family upper bound 1/q^(m-1)", (_M, _K, _SIG), _plausible_upper
+    ),
+    "lll-check": Command(
+        "local-lemma parameter identities at (m, k)", (_M, _K, _SIG), _lll_check
+    ),
+    "counting-bound": Command(
+        "counting bound (phi(R)/(kR))^m",
+        (_M, _K, _SIG),
+        lambda a: [
+            BoundReport(
+                "counting_power_bound",
+                plausible.counting_power_bound(a.m, a.k),
+                a.sig_digits,
+                "(phi(R) / (k R))^m with R = primorial(k)",
+                {"m": a.m, "k": a.k},
+            ).to_json()
+        ],
+    ),
+    "delta-chain": Command(
+        "k_m chain fed into the q-search",
+        (_M, _flag("--c", _finite_float, default=plausible.DEFAULT_C), _SIG),
+        _delta_chain,
+        (NOTE_TEMPLATES, NOTE_EXISTENCE),
+    ),
+    "asymptotic-template": Command(
+        "asymptotic display shapes with supplied constants",
+        (_M, _K, _flag("--c-upper", _finite_float, default=1.0),
+         _flag("--c-lower", _finite_float, default=plausible.DEFAULT_C_LOWER)),
+        lambda a: [
+            {
+                "name": "asymptotic_template",
+                **_attrs(
+                    plausible.asymptotic_template(a.m, a.k, a.c_upper, a.c_lower),
+                    "general_shape", "congruence_shape", "c_upper", "c_lower",
+                ),
+            }
+        ],
+        (NOTE_TEMPLATES,),
+    ),
+    "mc-f-stats": Command(
+        "Monte Carlo f(B) and X(B) statistics with tail estimates",
+        (_M, _K, _X_MULT, _SAMPLES, _SEED, _flag("--c", _finite_float, default=2.0),
+         _flag("--cprime", _finite_float, default=2.0), _SHARDS,
+         _flag("--csv", str, default=None, help="write per-sample f,X rows")),
+        _mc_f_stats,
+        (NOTE_MODEL,),
+    ),
+    "chernoff": Command(
+        "exact moment product and tail bound",
+        (_M, _K, _flag("--r", _finite_float), _flag("--s", _finite_float)),
+        lambda a: [
+            {
+                "name": "chernoff_tail_bound",
+                **_attrs(
+                    stochastic.chernoff_tail_bound(a.m, a.k, a.r, a.s),
+                    "moment_product", "tail_bound",
+                ),
+            }
+        ],
+    ),
+    "birthday": Command(
+        "exact P(all m residues distinct) mod p",
+        (_M, _P, _SIG),
+        lambda a: [
+            BoundReport(
+                "birthday_prob",
+                stochastic.birthday_prob_exact(a.m, a.p),
+                a.sig_digits,
+                "product over i < m of (1 - i/(p-1))",
+                {"m": a.m, "p": a.p},
+            ).to_json()
+        ],
+    ),
+    "translation-count": Command(
+        "translation classes meeting the coprime window",
+        (_flag("--tuple", str, help="comma separated, e.g. 0,2"), _K, _X_MULT, _SIG),
+        _translation_count,
+    ),
+    "lll-survival": Command(
+        "survival frequency of iid draws vs the no-collision model",
+        (_M, _K, _flag("--q", default=None), _flag("--trials", default=2_000), _SEED,
+         _flag("--x-mult", default=4, help=_X_MULT_HELP), _SHARDS),
+        _lll_survival,
+        (NOTE_MODEL,),
+    ),
+    "admissible": Command(
+        "residue profile and admissibility of a tuple",
+        (_flag("--tuple", str, help="comma separated, e.g. 0,2,6"),),
+        _admissible,
+    ),
+    "first-k": Command(
+        "lexicographically first admissible k-tuple",
+        (_K,),
+        lambda a: [
+            {"name": "first_k_admissible", "k": a.k, "elements": list(first_k_admissible(a.k))}
+        ],
+    ),
+}
+
+
+def _envelope(command: str, args: argparse.Namespace) -> tuple[dict, int]:
+    """Run ``command`` on ``args``; return its envelope and exit code."""
+    cmd = COMMANDS[command]
+    out = cmd.run(args)
+    results, extra, code = (out, {}, 0) if isinstance(out, list) else out
+    parameters = extra.pop("parameters", None) or {
+        dest: getattr(args, dest) for dest in cmd.dests if dest != "csv"
+    }
+    seed, shards = parameters.pop("seed", None), parameters.pop("shards", None)
+    env = envelope(command, parameters, results, seed=seed, shards=shards, notes=cmd.notes)
+    env.update(extra)
+    return env, code
+
+
 class _Parser(argparse.ArgumentParser):
     # Route usage errors through the domain-error exit path so stdout
     # stays machine readable.
@@ -631,203 +613,40 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _add_sig_digits(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--sig-digits",
-        type=int,
-        default=12,
-        help="significant digits in decimal renderings (default 12)",
-    )
-
-
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    # Built once: parse_args keeps no state between calls, and building
+    # the tree costs more than most commands.
     parser = _Parser(prog="tuplebounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser(
-        "check-constants", help="regression-check the four pinned reference constants"
-    )
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_check_constants)
-
-    p = sub.add_parser(
-        "delta2-report", help="pair-density lower bound with matching upper bounds"
-    )
-    p.add_argument("--k", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_delta2_report)
-
-    p = sub.add_parser("rho-adm", help="admissible m-tuple density")
-    p.add_argument("--m", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact product (default)")
-    mode.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--range", type=int, default=1_000_000, help="sample window half-width")
-    p.add_argument("--shards", type=int, default=1)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_rho_adm)
-
-    p = sub.add_parser(
-        "summand-ratio", help="consecutive-term ratios of the density sum at (m, p)"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_summand_ratio)
-
-    p = sub.add_parser("eta", help="pair-density bounds at a given ell")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--y", type=int, default=None, help="evaluate the upper bound at y")
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_eta)
-
-    p = sub.add_parser("delta2-lower", help="lower bound min over ell of eta_lower")
-    p.add_argument("--k", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_delta2_lower)
-
-    p = sub.add_parser("construct", help="covering construction at (ell, y)")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="exhaustive one-period check")
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser(
-        "pintz", help="interval constant primorial(k2) + span of the construction"
-    )
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_pintz)
-
-    p = sub.add_parser(
-        "plausible-upper", help="congruence-family upper bound 1/q^(m-1)"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_plausible_upper)
-
-    p = sub.add_parser("lll-check", help="local-lemma parameter identities at (m, k)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_lll_check)
-
-    p = sub.add_parser("counting-bound", help="counting bound (phi(R)/(kR))^m")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_counting_bound)
-
-    p = sub.add_parser("delta-chain", help="k_m chain fed into the q-search")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--c", type=float, default=3.82)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_delta_chain)
-
-    p = sub.add_parser(
-        "asymptotic-template", help="asymptotic display shapes with supplied constants"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c-upper", type=float, default=1.0)
-    p.add_argument("--c-lower", type=float, default=None)
-    p.set_defaults(handler=_cmd_asymptotic_template)
-
-    p = sub.add_parser(
-        "mc-f-stats", help="Monte Carlo f(B) and X(B) statistics with tail estimates"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x-mult", type=int, default=1, help="window half-width as a multiple of primorial(k)")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--cprime", type=float, default=2.0)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--csv", type=str, default=None, help="write per-sample f,X rows")
-    p.set_defaults(handler=_cmd_mc_f_stats)
-
-    p = sub.add_parser("chernoff", help="exact moment product and tail bound")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.set_defaults(handler=_cmd_chernoff)
-
-    p = sub.add_parser("birthday", help="exact P(all m residues distinct) mod p")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_birthday)
-
-    p = sub.add_parser(
-        "translation-count", help="translation classes meeting the coprime window"
-    )
-    p.add_argument("--tuple", type=str, required=True, help="comma separated, e.g. 0,2")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x-mult", type=int, default=1, help="window half-width as a multiple of primorial(k)")
-    _add_sig_digits(p)
-    p.set_defaults(handler=_cmd_translation_count)
-
-    p = sub.add_parser(
-        "lll-survival", help="survival frequency of iid draws vs the no-collision model"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--trials", type=int, default=2_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--x-mult", type=int, default=4, help="window half-width as a multiple of primorial(k)")
-    p.add_argument("--shards", type=int, default=1)
-    p.set_defaults(handler=_cmd_lll_survival)
-
-    p = sub.add_parser("admissible", help="residue profile and admissibility of a tuple")
-    p.add_argument("--tuple", type=str, required=True, help="comma separated, e.g. 0,2,6")
-    p.set_defaults(handler=_cmd_admissible)
-
-    p = sub.add_parser("first-k", help="lexicographically first admissible k-tuple")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_first_k)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for spec in cmd.flags:
+            group = p.add_mutually_exclusive_group() if isinstance(spec, list) else p
+            for flag, kw in spec if isinstance(spec, list) else [spec]:
+                group.add_argument(flag, **kw)
     return parser
 
 
-def _print(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+# Envelope kind and exit code of each failure family.
+_FAILURES = {
+    DomainError: ("domain-error", 3),
+    ResourceLimitError: ("resource-limit", 4),
+    RegressionFailure: ("regression-failure", 2),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "c_lower", "absent") is None:
-            args.c_lower = plausible.DEFAULT_C_LOWER
-        env, code = args.handler(args)
-    except DomainError as exc:
-        _print(_error_env("domain-error", exc))
-        return 3
-    except ResourceLimitError as exc:
-        _print(_error_env("resource-limit", exc))
-        return 4
-    except RegressionFailure as exc:
-        _print(_error_env("regression-failure", exc))
-        return 2
-    _print(env)
+        args = _parser().parse_args(argv)
+        env, code = _envelope(args.command, args)
+    except tuple(_FAILURES) as exc:
+        kind, code = next(_FAILURES[cls] for cls in _FAILURES if isinstance(exc, cls))
+        error = {"kind": kind, "type": type(exc).__name__, "message": str(exc)}
+        env = {"version": VERSION, "error": error}
+    json.dump(env, sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return code
-
-
-def _error_env(kind: str, exc: Exception) -> dict:
-    return {
-        "version": VERSION,
-        "error": {"kind": kind, "type": type(exc).__name__, "message": str(exc)},
-    }
 
 
 def console_entry() -> None:

@@ -14,15 +14,15 @@ for an end-to-end check against the exact product.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, log
 
 import numpy as np
 
-from .arith import GAMMA, exp_to_decimal, primes_up_to
+from .arith import GAMMA, exp_to_decimal, is_prime, primes_up_to
 from .errors import DomainError, InstanceTooLargeError
+from .stochastic import shard_streams
 from .tuples import IntTuple, is_admissible
 
 DEFAULT_BRUTE_FORCE_LIMIT = 10_000_000
@@ -30,7 +30,8 @@ DEFAULT_BRUTE_FORCE_LIMIT = 10_000_000
 
 def rho_adm_mod_p_exact(m: int, p: int) -> Fraction:
     """Exact density of m-tuples of residues mod p missing a class."""
-    _check_prime(p)
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if p > m:
@@ -51,7 +52,8 @@ def rho_adm_mod_p_bruteforce(
     coverage as a bitmask, and counts the vectors that fail to cover
     every class mod p.
     """
-    _check_prime(p)
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     total = p**m
@@ -131,8 +133,8 @@ def rho_adm_mc(
 ) -> McDensityEstimate:
     """Admissible fraction of random distinct m-subsets of [-B, B].
 
-    Shard i draws from seed XOR i and shards merge by summing successes,
-    so an n-shard run is reproducible from (seed, shards) alone.
+    Shards split the samples as :func:`stochastic.shard_streams` says
+    and merge by summing successes.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
@@ -142,10 +144,8 @@ def rho_adm_mc(
         raise DomainError(f"samples must be >= 100, got {samples}")
     if shards < 1 or shards > samples:
         raise DomainError(f"bad samples/shards: {samples}/{shards}")
-    per_shard = _split_evenly(samples, shards)
     successes = 0
-    for i, n_i in enumerate(per_shard):
-        rng = random.Random(seed ^ i)
+    for rng, n_i in shard_streams(seed, samples, shards):
         for _ in range(n_i):
             picks = rng.sample(range(-range_bound, range_bound + 1), m)
             if is_admissible(IntTuple.from_iterable(picks)):
@@ -182,7 +182,8 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
     clear 2 log m, which makes the alternating sum effectively dominated
     by its first term.
     """
-    _check_prime(p)
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
     if m < 3:
         raise DomainError(f"m must be >= 3, got {m}")
     if p > m / log(m):
@@ -196,13 +197,3 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
     threshold = 2.0 * log(m)
     all_above = all(r >= threshold for _, r in ratios)
     return SummandRatioReport(m=m, p=p, ratios=ratios, threshold=threshold, all_above=all_above)
-
-
-def _split_evenly(total: int, parts: int) -> list[int]:
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise DomainError(f"p must be prime, got {p}")

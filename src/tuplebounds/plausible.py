@@ -26,6 +26,8 @@ SEARCH_BUDGET = 10**7
 # Mertens-type constant used as the default scale of the congruence
 # display shape; callers may pass any value.
 DEFAULT_C_LOWER = exp(-arith.GAMMA)
+# Scale c of the e^(-c m^2) lower reference in delta_m_chain.
+DEFAULT_C = 3.82
 
 
 # Constant in the Rosser-Schoenfeld bound n/phi(n) < f(n) used by _q_cutoff;
@@ -141,7 +143,8 @@ def verify_pigeonhole(m: int, k: int, q: int, tup: IntTuple) -> PigeonholeWitnes
     buckets: dict[int, list[int]] = {}
     for e in tup:
         buckets.setdefault(e % q, []).append(e)
-    assert len(buckets) <= phi_q, f"{len(buckets)} classes mod {q} exceeds phi={phi_q}"
+    if len(buckets) > phi_q:
+        raise RegressionFailure(f"{len(buckets)} classes mod {q} exceeds phi={phi_q}")
     for residue, members in buckets.items():
         if len(members) >= m:
             return PigeonholeWitness(
@@ -151,18 +154,14 @@ def verify_pigeonhole(m: int, k: int, q: int, tup: IntTuple) -> PigeonholeWitnes
                 residue=residue,
                 members=tuple(sorted(members)[:m]),
             )
-    raise AssertionError("pigeonhole witness missing; this cannot happen")
+    raise RegressionFailure(f"no class mod {q} holds {m} elements although (m-1)*phi(q) < k")
 
 
 def counting_power_bound(m: int, k: int) -> Fraction:
     """Exact (phi(R)/(k*R))^m with R the primorial of k."""
     if m < 1 or k < m:
         raise DomainError(f"need k >= m >= 1, got m={m}, k={k}")
-    R = arith.primorial(k)
-    phi_R = 1
-    for p in arith.primes_up_to(k):
-        phi_R *= p - 1
-    return Fraction(phi_R, k * R) ** m
+    return Fraction(arith.primorial_totient(k), k * arith.primorial(k)) ** m
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,7 @@ def lll_parameters(m: int, k: int) -> LLLParameters:
         raise DomainError(f"k must be >= m, got k={k}, m={m}")
     n = comb(k, 2) + comb(k, m)
     d = 2 * m * comb(k - 1, m - 1)
-    p = Fraction(1, 8 * m * comb(k - 1, m - 1))
-    assert d * 4 * p == 1
+    p = Fraction(1, 4 * d)
     expo = 2 * p * n
     return LLLParameters(
         m=m,
@@ -249,15 +247,22 @@ class DeltaChainReport:
     ordering_ok: bool | None
 
 
-def delta_m_chain(m: int, c: float = 3.82, search_budget: int = SEARCH_BUDGET) -> DeltaChainReport:
+def delta_m_chain(
+    m: int, c: float = DEFAULT_C, search_budget: int = SEARCH_BUDGET
+) -> DeltaChainReport:
     """Chain k_m = ceil(e^(c*m)) (k_2 pinned to 50) into the q-search.
 
     The q-search is certified only when its cutoff fits the budget.  At
     the default c the Rosser-Schoenfeld cutoff fits for m <= 4 (about
     2.6e5 at m = 3 and 8.6e6 at m = 4); from m = 5 on it does not, and
     the report falls back to formula values with the reason recorded.
-    A congruence upper bound below the e^(-c m^2) scale raises
-    RegressionFailure.
+
+    At the default c, a congruence upper bound below the e^(-c m^2)
+    scale contradicts the lower bound and raises RegressionFailure.  Any
+    other c is the caller's choice and may break that ordering by
+    itself (k_2 stays 50 whatever c is), so there the report just
+    carries ordering_ok = False.  A c so small that k_m < m is a
+    DomainError.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
@@ -267,6 +272,8 @@ def delta_m_chain(m: int, c: float = 3.82, search_budget: int = SEARCH_BUDGET) -
         k_m = ceil(exp(c * m))
     else:
         k_m = None
+    if k_m is not None and k_m < m:
+        raise DomainError(f"k_m = ceil(e^({c}*{m})) = {k_m} is below m = {m}")
 
     congruence = None
     reason = None
@@ -284,7 +291,7 @@ def delta_m_chain(m: int, c: float = 3.82, search_budget: int = SEARCH_BUDGET) -
     ordering_ok = None
     if congruence is not None:
         ordering_ok = float(congruence.density) >= exp(-c * m * m)
-        if not ordering_ok:
+        if not ordering_ok and c == DEFAULT_C:
             raise RegressionFailure(
                 f"congruence upper 1/{congruence.q}^{m - 1} fell below "
                 f"the e^(-{c}*{m}^2) scale"

@@ -180,15 +180,14 @@ def build_construction(ell: int, y: int, h_search_cap: int = H_SEARCH_CAP) -> Co
         b2.append(rep)
     B2 = tuple(b2)
 
-    phi_r = 1
-    for p in arith.primes_up_to(y):
-        phi_r *= p - 1
     bundle = ConstructionBundle(
         ell=ell, y=y, v=v, r=r, M=M, h=h, q=q, B1=B1, B2=B2,
-        A_density=Fraction(h * phi_r, q * r),
+        A_density=Fraction(h * arith.primorial_totient(y), q * r),
     )
-    assert len(set(bundle.elements)) == ell
-    assert is_admissible(bundle.as_tuple)
+    if len(set(bundle.elements)) != ell:
+        raise RegressionFailure(f"construction at ell={ell}, y={y} repeats an element")
+    if not is_admissible(bundle.as_tuple):
+        raise RegressionFailure(f"construction at ell={ell}, y={y} is not admissible")
     return bundle
 
 
@@ -230,10 +229,7 @@ def verify_construction(
             break
 
     density_count = sum(1 for a in range(period) if in_a(a))
-    phi_r = 1
-    for p in arith.primes_up_to(bundle.y):
-        phi_r *= p - 1
-    expected = h * phi_r
+    expected = h * arith.primorial_totient(bundle.y)
     return ConstructionCheck(
         ok=counterexample is None and density_count == expected,
         period=period,

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd, log
+from typing import Iterator
 
 from . import arith
 from .errors import DomainError, InsufficientPopulationError, WindowTooLargeError
@@ -113,6 +114,19 @@ class TupleStatistics:
     tail_estimates: dict[str, TailEstimate]
 
 
+def shard_streams(seed: int, total: int, shards: int) -> Iterator[tuple[random.Random, int]]:
+    """One ``(rng, n)`` per shard: its random stream and its share of ``total``.
+
+    Shard i draws from a ``random.Random`` seeded with seed XOR i, and
+    the first ``total % shards`` shards take one extra draw, so a run
+    that merges shards by summing counts is reproducible from (seed,
+    shards) alone.
+    """
+    base, extra = divmod(total, shards)
+    for i in range(shards):
+        yield random.Random(seed ^ i), base + (i < extra)
+
+
 def wilson_halfwidth(successes: int, n: int, z: float = 1.0) -> float:
     """Half-width of the Wilson score interval; nonzero even at 0 hits."""
     if n < 1 or not 0 <= successes <= n:
@@ -153,10 +167,9 @@ def sample_f_statistics(
     x_vals: list[float] = []
     zero_counts: Counter[int] = Counter({p: 0 for p in primes_mid})
 
-    for shard in range(shards):
-        rng = random.Random(seed ^ shard)
+    for rng, n in shard_streams(seed, samples, shards):
         sampler = CoprimeWindowSampler(k, x, rng)
-        for _ in range(_shard_share(samples, shards, shard)):
+        for _ in range(n):
             batch = sampler.draw_distinct(m)
             f = Fraction(1)
             x_stat = 0.0
@@ -194,11 +207,6 @@ def _tail(values: list[float], threshold: float) -> TailEstimate:
         estimate=hits / n,
         std_error=wilson_halfwidth(hits, n),
     )
-
-
-def _shard_share(total: int, shards: int, index: int) -> int:
-    base, extra = divmod(total, shards)
-    return base + (1 if index < extra else 0)
 
 
 @dataclass(frozen=True)
@@ -314,10 +322,9 @@ def lll_survival_experiment(
             f"population {probe.size} below 4k = {4 * k}"
         )
     survivors = 0
-    for shard in range(shards):
-        rng = random.Random(seed ^ shard)
+    for rng, n in shard_streams(seed, trials, shards):
         sampler = CoprimeWindowSampler(k, x, rng)
-        for _ in range(_shard_share(trials, shards, shard)):
+        for _ in range(n):
             batch = [sampler.draw() for _ in range(k)]
             if len(set(batch)) != k:
                 continue

@@ -13,13 +13,17 @@ primorial, and its size then has the exact closed form
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import primes_up_to, primorial
-from .errors import DomainError, InsufficientPopulationError, WindowTooLargeError
+from .arith import primes_up_to, primorial, primorial_totient
+from .errors import (
+    DomainError,
+    InsufficientPopulationError,
+    RegressionFailure,
+    WindowTooLargeError,
+)
 
 DEFAULT_MAX_ELEMENTS = 1_000_000
 
@@ -107,10 +111,7 @@ class SampleSpace:
 
     @property
     def totient_R(self) -> int:
-        out = 1
-        for p in primes_up_to(self.k):
-            out *= p - 1
-        return out
+        return primorial_totient(self.k)
 
     @property
     def size(self) -> int:
@@ -132,29 +133,6 @@ def enumerate_sample_space(
             f"window holds {space.size} elements, budget is {max_elements}"
         )
     return [n for n in range(-space.x + 1, space.x + 1) if gcd(n, space.R) == 1]
-
-
-def sample_tuple_from_space(
-    space: SampleSpace,
-    m: int,
-    seed: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> IntTuple:
-    """Uniform m-subset of the window, as a sorted tuple.
-
-    Enumerates the window first, so this is meant for small spaces; use
-    the stream sampler in :mod:`tuplebounds.stochastic` when the window
-    is too large to hold.
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if m > space.size:
-        raise InsufficientPopulationError(
-            f"requested {m} distinct elements from a population of {space.size}"
-        )
-    pool = enumerate_sample_space(space, max_elements)
-    picks = random.Random(seed).sample(pool, m)
-    return IntTuple.from_iterable(picks)
 
 
 def first_k_admissible(k: int, x: int | None = None) -> IntTuple:
@@ -179,5 +157,6 @@ def first_k_admissible(k: int, x: int | None = None) -> IntTuple:
             out.append(n)
         n += 1
     h = IntTuple(tuple(out))
-    assert is_admissible(h)
+    if not is_admissible(h):
+        raise RegressionFailure(f"first_k_admissible({k}) gave an inadmissible tuple")
     return h

@@ -35,7 +35,6 @@ def test_prime_cache_grows_consistently():
     small = tuple(arith.primes_up_to(10))
     large = tuple(arith.primes_up_to(1_000))
     assert large[: len(small)] == small
-    assert arith.primes_up_to(1_000).up_to(10) == small
 
 
 def test_is_prime_agrees_with_sieve():

@@ -2,12 +2,13 @@
 
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tuplebounds import arith, cli, plausible, polignac
+from tuplebounds import arith, cli, plausible, polignac, tuples
 
 
 def run(capsys, *argv):
@@ -232,6 +233,69 @@ def test_delta_chain_ordering_fault_exits_2(capsys, monkeypatch):
     code, env = run(capsys, "delta-chain", "--m", "2")
     assert code == 2
     assert env["error"]["kind"] == "regression-failure"
+
+
+def test_delta_chain_user_c_reports_broken_ordering(capsys):
+    # Off the default c the ordering depends on the caller's c, not on the code.
+    code, env = run(capsys, "delta-chain", "--m", "2", "--c", "0.1")
+    assert code == 0
+    r = result_named(env, "delta_m_chain")
+    assert (r["c"], r["q"], r["ordering_ok"]) == (0.1, 210, False)
+
+
+def test_delta_chain_c_too_small_for_m_is_domain_error(capsys):
+    code, env = run(capsys, "delta-chain", "--m", "3", "--c", "0.1")
+    assert code == 3
+    assert "below m = 3" in env["error"]["message"]
+
+
+def test_first_k_admissibility_fault_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(tuples, "is_admissible", lambda h: False)
+    code, env = run(capsys, "first-k", "--k", "5")
+    assert code == 2
+    assert env["error"]["kind"] == "regression-failure"
+
+
+def test_construct_admissibility_fault_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(polignac, "is_admissible", lambda h: False)
+    code, env = run(capsys, "construct", "--ell", "3", "--y", "1")
+    assert code == 2
+    assert env["error"]["kind"] == "regression-failure"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chernoff", "--m", "2", "--k", "30", "--r", "{}", "--s", "0.2"],
+        ["chernoff", "--m", "2", "--k", "30", "--r", "1", "--s", "{}"],
+        ["delta-chain", "--m", "2", "--c", "{}"],
+        ["asymptotic-template", "--m", "2", "--k", "50", "--c-upper", "{}"],
+        ["asymptotic-template", "--m", "2", "--k", "50", "--c-lower", "{}"],
+        ["mc-f-stats", "--m", "2", "--k", "20", "--samples", "10", "--c", "{}"],
+        ["mc-f-stats", "--m", "2", "--k", "20", "--samples", "10", "--cprime", "{}"],
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_float_flags_reject_non_finite(capsys, argv, value):
+    code, env = run(capsys, *[a.format(value) for a in argv])
+    assert code == 3
+    assert env["error"]["kind"] == "domain-error"
+    assert "must be a finite number" in env["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summand-ratio", "--m", "5", "--p", str(10**399 + 1)],
+        ["summand-ratio", "--m", "100", "--p", "1000000000000000003"],
+    ],
+)
+def test_huge_prime_flag_hits_resource_limit_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, env = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4
+    assert env["error"]["kind"] == "resource-limit"
 
 
 def test_asymptotic_template_defaults(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from tuplebounds import plausible
 from tuplebounds.arith import GAMMA, primes_up_to, to_decimal, totient, totients_up_to
-from tuplebounds.errors import DomainError, ResourceLimitError
+from tuplebounds.errors import DomainError, RegressionFailure, ResourceLimitError
 from tuplebounds.tuples import IntTuple, first_k_admissible
 
 
@@ -116,6 +116,13 @@ def test_pigeonhole_rejects_bad_inputs():
     bad = IntTuple(tuple(range(50)))  # 0..49 covers Z/2
     with pytest.raises(DomainError):
         plausible.verify_pigeonhole(2, 50, 210, bad)
+
+
+def test_pigeonhole_class_bound_fault_raises(monkeypatch):
+    # A wrong phi(q) breaks the class bound; the check must survive python -O.
+    monkeypatch.setattr(plausible.arith, "totient", lambda n: 1)
+    with pytest.raises(RegressionFailure):
+        plausible.verify_pigeonhole(2, 50, 210, first_k_admissible(50))
 
 
 def test_counting_power_bound_values():

@@ -20,7 +20,6 @@ from tuplebounds.tuples import (
     is_admissible,
     residue_count,
     residue_profile,
-    sample_tuple_from_space,
 )
 
 
@@ -136,37 +135,6 @@ def test_enumerate_respects_budget():
     s = SampleSpace.for_cutoff(5, multiple=100)
     with pytest.raises(WindowTooLargeError):
         enumerate_sample_space(s, max_elements=10)
-
-
-def test_sampling_is_deterministic_and_in_space():
-    s = SampleSpace.for_cutoff(5, multiple=3)
-    pool = set(enumerate_sample_space(s))
-    a = sample_tuple_from_space(s, 4, seed=11)
-    b = sample_tuple_from_space(s, 4, seed=11)
-    c = sample_tuple_from_space(s, 4, seed=12)
-    assert a == b
-    assert a != c
-    assert set(a.elements) <= pool
-
-
-def test_sampling_rejects_oversized_request():
-    s = SampleSpace.for_cutoff(3)
-    with pytest.raises(InsufficientPopulationError):
-        sample_tuple_from_space(s, 5, seed=0)
-
-
-def test_singleton_sampling_is_uniform_3_sigma():
-    s = SampleSpace.for_cutoff(3)
-    pool = enumerate_sample_space(s)
-    n = 4000
-    counts = {v: 0 for v in pool}
-    for seed in range(n):
-        (v,) = sample_tuple_from_space(s, 1, seed=seed).elements
-        counts[v] += 1
-    expected = n / len(pool)
-    sigma = (n * (1 / len(pool)) * (1 - 1 / len(pool))) ** 0.5
-    for v, c in counts.items():
-        assert abs(c - expected) <= 3 * sigma, (v, c)
 
 
 def test_first_k_admissible_values():
