@@ -17,6 +17,7 @@ serialising numerator/denominator pairs.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from math import floor, isqrt
@@ -31,6 +32,10 @@ GAMMA = 0.5772156649015329
 
 # Largest sieve bound honoured before refusing with ResourceLimitError.
 MAX_SIEVE_LIMIT = 10_000_000
+
+# Python's int->str digit limit, read per call (0: none; Pythons before
+# 3.10.7 have neither the limit nor this getter).
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 _cached_limit = 0
 _cached_primes: tuple[int, ...] = ()
@@ -147,16 +152,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def int_to_str(n: int) -> str:
+    """``str(n)``, refused with ResourceLimitError where Python's int->str
+    digit limit would raise ValueError.
+
+    ``n`` has more than ``limit`` digits exactly when ``|n| >= 10**limit``;
+    below ``3 * limit`` bits (``8**limit < 10**limit``) it cannot.
+    """
+    limit = _max_str_digits()
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise ResourceLimitError(
+            f"a {n.bit_length()}-bit integer exceeds the {limit}-digit int->str limit"
+        )
+    return str(n)
+
+
 def to_decimal(x: Fraction, sig_digits: int) -> str:
     """Render ``x`` to exactly ``sig_digits`` significant digits.
 
     Rounding is to nearest with ties away from zero, done entirely in
     integer arithmetic.  Values whose leading digit falls at a decimal
     exponent in ``[-9, 20]`` are rendered positionally; anything outside
-    that window uses ``d.ddde+E`` scientific form.
+    that window uses ``d.ddde+E`` scientific form.  Integers past the
+    int->str digit limit raise ResourceLimitError (see :func:`int_to_str`).
     """
     if sig_digits < 1:
         raise DomainError(f"sig_digits must be >= 1, got {sig_digits}")
+    if 0 < (limit := _max_str_digits()) < sig_digits:
+        # The digit string would be refused anyway; refuse before computing it.
+        raise ResourceLimitError(f"{sig_digits} digits exceed the {limit}-digit int->str limit")
     x = Fraction(x)
     if x == 0:
         return "0"
@@ -165,7 +189,7 @@ def to_decimal(x: Fraction, sig_digits: int) -> str:
 
     # Locate e with 10^e <= a/b < 10^(e+1); the length guess is off by
     # at most one either way.
-    e = len(str(a)) - len(str(b))
+    e = len(int_to_str(a)) - len(int_to_str(b))
     while _cmp_pow10(a, b, e) < 0:
         e -= 1
     while _cmp_pow10(a, b, e + 1) >= 0:
@@ -208,28 +232,30 @@ def _cmp_pow10(a: int, b: int, e: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def exp_to_decimal(t: float, sig_digits: int = 6) -> str:
-    """Render ``exp(t)`` as ``m.mmme+E`` without overflow or underflow.
+def exp_to_decimal(t: float) -> str:
+    """Render ``exp(t)`` as ``m.mmmmme+E`` (6 significant digits) without
+    overflow or underflow.
 
     Float precision only; intended for reporting magnitudes like
     ``exp(-c * m**2)`` that fall far outside float range.
     """
-    if sig_digits < 1:
-        raise DomainError(f"sig_digits must be >= 1, got {sig_digits}")
     e10 = t / 2.302585092994046
     k = floor(e10)
     mant = 10.0 ** (e10 - k)
-    if round(mant, sig_digits - 1) >= 10.0:
+    if round(mant, 5) >= 10.0:
         mant /= 10.0
         k += 1
-    return f"{mant:.{sig_digits - 1}f}e{'+' if k >= 0 else '-'}{abs(k)}"
+    return f"{mant:.5f}e{'+' if k >= 0 else '-'}{abs(k)}"
 
 
 def rational_to_json(x: Fraction, sig_digits: int = 12) -> dict:
-    """JSON-friendly exact form: numerator, denominator, decimal preview."""
+    """JSON-friendly exact form: numerator, denominator, decimal preview.
+
+    Raises ResourceLimitError past the int->str digit limit.
+    """
     x = Fraction(x)
     return {
-        "num": str(x.numerator),
-        "den": str(x.denominator),
+        "num": int_to_str(x.numerator),
+        "den": int_to_str(x.denominator),
         "decimal": to_decimal(x, sig_digits),
     }

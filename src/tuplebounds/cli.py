@@ -10,6 +10,7 @@ them.  Exit codes: 0 success, 2 regression failure, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import arith, density, plausible, polignac, stochastic
-from .arith import rational_to_json, to_decimal
+from .arith import int_to_str, rational_to_json, to_decimal
 from .errors import DomainError, RegressionFailure, ResourceLimitError
 from .report import (
     NOTE_CONTINUOUS,
@@ -127,11 +128,6 @@ def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
     return results, extra, 0 if passed else 2
 
 
-def run_delta2_report(k: int, sig_digits: int = 12) -> dict:
-    """Bundle the pair-density lower bound with every matching upper bound."""
-    return _envelope("delta2-report", argparse.Namespace(k=k, sig_digits=sig_digits))[0]
-
-
 def _delta2_report(a: argparse.Namespace) -> tuple[list, dict, int]:
     k, sig_digits = a.k, a.sig_digits
     lower = polignac.delta2_lower(k, sig_digits)
@@ -178,7 +174,8 @@ def _rho_adm(a: argparse.Namespace) -> tuple[list, dict, int]:
         est = density.rho_adm_mc(a.m, a.range, a.samples, a.seed, a.shards)
         result = {
             "name": "rho_adm_mc",
-            **_attrs(est, "estimate", "std_error", "successes", "samples", "range_bound"),
+            **_attrs(est, "estimate", "std_error", "successes", "samples"),
+            "range_bound": a.range,
             "exact_reference": float(density.rho_adm_exact(a.m).total),
         }
         return [result], {"notes": [NOTE_MODEL]}, 0
@@ -263,7 +260,7 @@ def _pintz(a: argparse.Namespace) -> list:
     constant = polignac.pintz_interval_constant(bundle, a.k2)
     decimal = to_decimal(Fraction(constant), a.sig_digits)
     return [
-        {"name": "pintz_interval_constant", "int": str(constant), "decimal": decimal},
+        {"name": "pintz_interval_constant", "int": int_to_str(constant), "decimal": decimal},
         _bundle_json(bundle, a.sig_digits),
     ]
 
@@ -296,11 +293,8 @@ def _lll_check(a: argparse.Namespace) -> list:
 
 def _delta_chain(a: argparse.Namespace) -> list:
     rep = plausible.delta_m_chain(a.m, a.c)
-    result = {
-        "name": "delta_m_chain",
-        **_attrs(rep, "m", "c", "k_m", "feasible", "reason", "lower_reference_decimal"),
-        "ordering_ok": rep.ordering_ok,
-    }
+    fields = ("k_m", "feasible", "reason", "lower_reference_decimal", "ordering_ok")
+    result = {"name": "delta_m_chain", "m": a.m, "c": a.c, **_attrs(rep, *fields)}
     if rep.congruence is not None:
         result["congruence_upper"] = rational_to_json(rep.congruence.density, a.sig_digits)
         result["q"] = rep.congruence.q
@@ -313,10 +307,20 @@ def _summary(values: list[float]) -> dict:
 
 
 def _mc_f_stats(a: argparse.Namespace) -> tuple[list, dict, int]:
-    x = a.x_mult * arith.primorial(a.k)
-    stats = stochastic.sample_f_statistics(
-        a.m, a.k, x, a.samples, a.seed, a.c, a.cprime, a.shards
-    )
+    # Open --csv before sampling, so an unwritable path fails at once.
+    try:
+        fh = open(a.csv, "w", newline="") if a.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise DomainError(f"cannot write --csv: {exc}") from None
+    with fh:
+        x = a.x_mult * arith.primorial(a.k)
+        stats = stochastic.sample_f_statistics(
+            a.m, a.k, x, a.samples, a.seed, a.c, a.cprime, a.shards
+        )
+        if a.csv:
+            writer = csv.writer(fh)
+            writer.writerow(["f", "X"])
+            writer.writerows(zip(stats.f_values, stats.X_values))
     results = [
         {
             "name": "f_statistics",
@@ -327,13 +331,7 @@ def _mc_f_stats(a: argparse.Namespace) -> tuple[list, dict, int]:
             "tails": {name: asdict(t) for name, t in stats.tail_estimates.items()},
         }
     ]
-    if not a.csv:
-        return results, {}, 0
-    with open(a.csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["f", "X"])
-        writer.writerows(zip(stats.f_values, stats.X_values))
-    return results, {"csv_path": a.csv}, 0
+    return results, {"csv_path": a.csv} if a.csv else {}, 0
 
 
 def _translation_count(a: argparse.Namespace) -> list:
@@ -355,8 +353,16 @@ def _translation_count(a: argparse.Namespace) -> list:
 def _lll_survival(a: argparse.Namespace) -> list:
     x = a.x_mult * arith.primorial(a.k)
     est = stochastic.lll_survival_experiment(a.m, a.k, x, a.trials, a.seed, a.q, a.shards)
-    fields = ("q", "survivors", "trials", "estimate", "std_error", "reference")
-    return [{"name": "lll_survival", "x": x, **_attrs(est, *fields)}]
+    return [
+        {
+            "name": "lll_survival",
+            "x": x,
+            "q": a.q,
+            "survivors": est.survivors,
+            "trials": a.trials,
+            **_attrs(est, "estimate", "std_error", "reference"),
+        }
+    ]
 
 
 def _admissible(a: argparse.Namespace) -> list:
@@ -525,8 +531,10 @@ COMMANDS: dict[str, Command] = {
                 "name": "asymptotic_template",
                 **_attrs(
                     plausible.asymptotic_template(a.m, a.k, a.c_upper, a.c_lower),
-                    "general_shape", "congruence_shape", "c_upper", "c_lower",
+                    "general_shape", "congruence_shape",
                 ),
+                "c_upper": a.c_upper,
+                "c_lower": a.c_lower,
             }
         ],
         (NOTE_TEMPLATES,),
@@ -644,8 +652,8 @@ def main(argv: list[str] | None = None) -> int:
         kind, code = next(_FAILURES[cls] for cls in _FAILURES if isinstance(exc, cls))
         error = {"kind": kind, "type": type(exc).__name__, "message": str(exc)}
         env = {"version": VERSION, "error": error}
-    json.dump(env, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # Rendered whole before writing: strict JSON (no NaN or Infinity) or nothing.
+    sys.stdout.write(json.dumps(env, indent=2, allow_nan=False) + "\n")
     return code
 
 

@@ -25,7 +25,7 @@ from .errors import DomainError, InstanceTooLargeError
 from .stochastic import shard_streams
 from .tuples import IntTuple, is_admissible
 
-DEFAULT_BRUTE_FORCE_LIMIT = 10_000_000
+BRUTE_FORCE_LIMIT = 10_000_000
 
 
 def rho_adm_mod_p_exact(m: int, p: int) -> Fraction:
@@ -43,9 +43,7 @@ def rho_adm_mod_p_exact(m: int, p: int) -> Fraction:
     return Fraction(num, p**m)
 
 
-def rho_adm_mod_p_bruteforce(
-    m: int, p: int, limit: int = DEFAULT_BRUTE_FORCE_LIMIT
-) -> Fraction:
+def rho_adm_mod_p_bruteforce(m: int, p: int) -> Fraction:
     """Oracle for :func:`rho_adm_mod_p_exact` by full enumeration.
 
     Walks all ``p**m`` residue vectors in chunks, tracking per-vector
@@ -57,8 +55,8 @@ def rho_adm_mod_p_bruteforce(
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     total = p**m
-    if total > limit:
-        raise InstanceTooLargeError(f"p**m = {total} exceeds budget {limit}")
+    if total > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLargeError(f"p**m = {total} exceeds budget {BRUTE_FORCE_LIMIT}")
     if p > 62:
         raise InstanceTooLargeError(f"coverage bitmask needs p <= 62, got {p}")
     full = (1 << p) - 1
@@ -85,7 +83,6 @@ class AdmissibleDensityReport:
     is only known to be e^(o(m)).
     """
 
-    m: int
     per_prime: dict[int, Fraction]
     total: Fraction
     asymptotic: str | None
@@ -108,17 +105,13 @@ def rho_adm_exact(m: int) -> AdmissibleDensityReport:
         asymptotic = None
         ratio = None
     return AdmissibleDensityReport(
-        m=m, per_prime=per_prime, total=total, asymptotic=asymptotic, asymptotic_ratio=ratio
+        per_prime=per_prime, total=total, asymptotic=asymptotic, asymptotic_ratio=ratio
     )
 
 
 @dataclass(frozen=True)
 class McDensityEstimate:
-    m: int
-    range_bound: int
     samples: int
-    seed: int
-    shards: int
     successes: int
     estimate: float
     std_error: float
@@ -152,24 +145,13 @@ def rho_adm_mc(
                 successes += 1
     est = successes / samples
     se = (est * (1.0 - est) / samples) ** 0.5
-    return McDensityEstimate(
-        m=m,
-        range_bound=range_bound,
-        samples=samples,
-        seed=seed,
-        shards=shards,
-        successes=successes,
-        estimate=est,
-        std_error=se,
-    )
+    return McDensityEstimate(samples=samples, successes=successes, estimate=est, std_error=se)
 
 
 @dataclass(frozen=True)
 class SummandRatioReport:
     """Consecutive-term ratios of the alternating sum at (m, p)."""
 
-    m: int
-    p: int
     ratios: list[tuple[int, Fraction]]
     threshold: float
     all_above: bool
@@ -196,4 +178,4 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
         ratios.append((j, Fraction(num, den)))
     threshold = 2.0 * log(m)
     all_above = all(r >= threshold for _, r in ratios)
-    return SummandRatioReport(m=m, p=p, ratios=ratios, threshold=threshold, all_above=all_above)
+    return SummandRatioReport(ratios=ratios, threshold=threshold, all_above=all_above)

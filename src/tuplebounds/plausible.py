@@ -79,7 +79,7 @@ def _q_cutoff(m: int, k: int) -> int:
     return hi
 
 
-def max_q_for(m: int, k: int, search_budget: int = SEARCH_BUDGET) -> int:
+def max_q_for(m: int, k: int) -> int:
     """Largest q with (m-1)*phi(q) < k, by certified exhaustive search.
 
     Scans a totient sieve over [1, _q_cutoff(m, k)]; the cutoff's
@@ -91,10 +91,8 @@ def max_q_for(m: int, k: int, search_budget: int = SEARCH_BUDGET) -> int:
     if k < m:
         raise DomainError(f"k must be >= m, got k={k}, m={m}")
     cutoff = _q_cutoff(m, k)
-    if cutoff > search_budget:
-        raise ResourceLimitError(
-            f"q-search cutoff {cutoff} exceeds budget {search_budget}"
-        )
+    if cutoff > SEARCH_BUDGET:
+        raise ResourceLimitError(f"q-search cutoff {cutoff} exceeds budget {SEARCH_BUDGET}")
     phi = arith.totients_up_to(cutoff)
     # phi[q] = phi(q), and phi(1) = 1 <= (k-1)//(m-1), so the last hit is a q >= 1.
     return int(np.flatnonzero(phi <= (k - 1) // (m - 1))[-1])
@@ -102,23 +100,18 @@ def max_q_for(m: int, k: int, search_budget: int = SEARCH_BUDGET) -> int:
 
 @dataclass(frozen=True)
 class CongruenceUpperBound:
-    m: int
-    k: int
     q: int
     density: Fraction
 
 
-def delta_upper_congruence(
-    m: int, k: int, search_budget: int = SEARCH_BUDGET
-) -> CongruenceUpperBound:
+def delta_upper_congruence(m: int, k: int) -> CongruenceUpperBound:
     """Density 1/q^(m-1) of the maximal single-class congruence family."""
-    q = max_q_for(m, k, search_budget)
-    return CongruenceUpperBound(m=m, k=k, q=q, density=Fraction(1, q ** (m - 1)))
+    q = max_q_for(m, k)
+    return CongruenceUpperBound(q=q, density=Fraction(1, q ** (m - 1)))
 
 
 @dataclass(frozen=True)
 class PigeonholeWitness:
-    q: int
     phi_q: int
     classes_occupied: int
     residue: int
@@ -148,7 +141,6 @@ def verify_pigeonhole(m: int, k: int, q: int, tup: IntTuple) -> PigeonholeWitnes
     for residue, members in buckets.items():
         if len(members) >= m:
             return PigeonholeWitness(
-                q=q,
                 phi_q=phi_q,
                 classes_occupied=len(buckets),
                 residue=residue,
@@ -168,8 +160,6 @@ def counting_power_bound(m: int, k: int) -> Fraction:
 class LLLParameters:
     """Event counts and probabilities for the local-lemma survival bound."""
 
-    m: int
-    k: int
     n_events: int
     dependency_degree: int
     event_prob_bound: Fraction
@@ -188,8 +178,6 @@ def lll_parameters(m: int, k: int) -> LLLParameters:
     p = Fraction(1, 4 * d)
     expo = 2 * p * n
     return LLLParameters(
-        m=m,
-        k=k,
         n_events=n,
         dependency_degree=d,
         event_prob_bound=p,
@@ -202,10 +190,6 @@ def lll_parameters(m: int, k: int) -> LLLParameters:
 class TemplateValues:
     """Display-formula evaluations; reporting aid only, never a bound."""
 
-    m: int
-    k: int
-    c_upper: float
-    c_lower: float
     general_shape: float
     congruence_shape: float
 
@@ -227,18 +211,13 @@ def asymptotic_template(
         raise DomainError(f"need k/m >= 3 so loglog arguments exceed 1, got k={k}, m={m}")
     general = log(2 * m) ** (c_upper * m) / ((k / m) * log(log(3 * k / m))) ** (m - 1)
     congruence = (c_lower / ((k / (m - 1)) * log(log(k / (m - 1))))) ** (m - 1)
-    return TemplateValues(
-        m=m, k=k, c_upper=c_upper, c_lower=c_lower,
-        general_shape=general, congruence_shape=congruence,
-    )
+    return TemplateValues(general_shape=general, congruence_shape=congruence)
 
 
 @dataclass(frozen=True)
 class DeltaChainReport:
     """k_m and the congruence upper bound next to the e^(-c m^2) scale."""
 
-    m: int
-    c: float
     k_m: int | None
     congruence: CongruenceUpperBound | None
     feasible: bool
@@ -247,9 +226,7 @@ class DeltaChainReport:
     ordering_ok: bool | None
 
 
-def delta_m_chain(
-    m: int, c: float = DEFAULT_C, search_budget: int = SEARCH_BUDGET
-) -> DeltaChainReport:
+def delta_m_chain(m: int, c: float = DEFAULT_C) -> DeltaChainReport:
     """Chain k_m = ceil(e^(c*m)) (k_2 pinned to 50) into the q-search.
 
     The q-search is certified only when its cutoff fits the budget.  At
@@ -279,13 +256,13 @@ def delta_m_chain(
     reason = None
     if k_m is None:
         reason = f"k_m = ceil(e^({c}*{m})) overflows evaluation"
-    elif (cutoff := _q_cutoff(m, k_m)) > search_budget:
+    elif (cutoff := _q_cutoff(m, k_m)) > SEARCH_BUDGET:
         reason = (
             f"q-search cutoff {cutoff} for k_m={k_m} exceeds "
-            f"budget {search_budget}; formula values only"
+            f"budget {SEARCH_BUDGET}; formula values only"
         )
     else:
-        congruence = delta_upper_congruence(m, k_m, search_budget)
+        congruence = delta_upper_congruence(m, k_m)
 
     lower_decimal = arith.exp_to_decimal(-c * m * m)
     ordering_ok = None
@@ -297,8 +274,6 @@ def delta_m_chain(
                 f"the e^(-{c}*{m}^2) scale"
             )
     return DeltaChainReport(
-        m=m,
-        c=c,
         k_m=k_m,
         congruence=congruence,
         feasible=congruence is not None,

@@ -52,7 +52,6 @@ def eta_upper(ell: int, y: int) -> Fraction:
 
 @dataclass(frozen=True)
 class EtaBounds:
-    ell: int
     lower: Fraction
     upper_by_y: dict[int, Fraction]
     best_upper: tuple[int, Fraction] | None
@@ -78,7 +77,7 @@ def eta_bounds(ell: int) -> EtaBounds:
         raise RegressionFailure(
             f"eta_lower({ell}) exceeds the upper bound at y = {best[0]}"
         )
-    return EtaBounds(ell=ell, lower=lower, upper_by_y=upper_by_y, best_upper=best)
+    return EtaBounds(lower=lower, upper_by_y=upper_by_y, best_upper=best)
 
 
 def delta2_lower(k: int, sig_digits: int = 12) -> BoundReport:
@@ -135,7 +134,7 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return r1 + m1 * t
 
 
-def build_construction(ell: int, y: int, h_search_cap: int = H_SEARCH_CAP) -> ConstructionBundle:
+def build_construction(ell: int, y: int) -> ConstructionBundle:
     """Materialize the covering construction for (ell, y).
 
     Takes the smallest h making q = h*v + 1 a prime above ell; minimal h
@@ -149,14 +148,14 @@ def build_construction(ell: int, y: int, h_search_cap: int = H_SEARCH_CAP) -> Co
 
     q = 0
     h = 0
-    for cand in range(1, h_search_cap + 1):
+    for cand in range(1, H_SEARCH_CAP + 1):
         maybe_q = cand * v + 1
         if maybe_q > ell and arith.is_prime(maybe_q):
             h, q = cand, maybe_q
             break
     else:
         raise ConstructionFailedError(
-            f"no h <= {h_search_cap} with h*{v}+1 prime and > {ell}"
+            f"no h <= {H_SEARCH_CAP} with h*{v}+1 prime and > {ell}"
         )
 
     # B1: i*h mod q, 1 mod M, for i = 0..v; reps taken in [0, q*M).
@@ -201,9 +200,7 @@ class ConstructionCheck:
     density_expected: int
 
 
-def verify_construction(
-    bundle: ConstructionBundle, period_budget: int = PERIOD_BUDGET
-) -> ConstructionCheck:
+def verify_construction(bundle: ConstructionBundle) -> ConstructionCheck:
     """Exhaustive check of the covering property over one period.
 
     For every t in [0, q*r) coprime to r, some b in B1 must satisfy
@@ -211,8 +208,8 @@ def verify_construction(
     """
     q, r, h = bundle.q, bundle.r, bundle.h
     period = q * r
-    if period > period_budget:
-        raise WindowTooLargeError(f"period {period} exceeds budget {period_budget}")
+    if period > PERIOD_BUDGET:
+        raise WindowTooLargeError(f"period {period} exceeds budget {PERIOD_BUDGET}")
 
     def in_a(a: int) -> bool:
         return a % q < h and gcd(a % r + 1, r) == 1

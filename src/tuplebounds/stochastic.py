@@ -19,11 +19,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, log
+from math import exp, gcd, inf, isfinite, log
 from typing import Iterator
 
 from . import arith
-from .errors import DomainError, InsufficientPopulationError, WindowTooLargeError
+from .errors import (
+    DomainError,
+    InsufficientPopulationError,
+    ResourceLimitError,
+    WindowTooLargeError,
+)
 from .tuples import IntTuple, SampleSpace, residue_count
 
 TRANSLATION_SCAN_BUDGET = 20_000_000
@@ -54,7 +59,7 @@ class CoprimeWindowSampler:
     """
 
     def __init__(self, k: int, x: int, rng: random.Random):
-        self.space = SampleSpace(x=x, k=k, R=arith.primorial(k))
+        self.space = SampleSpace(x=x, k=k)
         self.rng = rng
         self.N = x // self.space.R
         self._basis: list[tuple[int, int]] = []
@@ -100,14 +105,6 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class TupleStatistics:
-    m: int
-    k: int
-    x: int
-    samples: int
-    seed: int
-    shards: int
-    c: float
-    c_prime: float
     f_values: list[float]
     X_values: list[float]
     zero_counts: dict[int, int]
@@ -127,15 +124,11 @@ def shard_streams(seed: int, total: int, shards: int) -> Iterator[tuple[random.R
         yield random.Random(seed ^ i), base + (i < extra)
 
 
-def wilson_halfwidth(successes: int, n: int, z: float = 1.0) -> float:
-    """Half-width of the Wilson score interval; nonzero even at 0 hits."""
+def wilson_halfwidth(successes: int, n: int) -> float:
+    """Half-width of the z = 1 Wilson score interval; nonzero even at 0 hits."""
     if n < 1 or not 0 <= successes <= n:
         raise DomainError(f"bad count {successes}/{n}")
-    return (
-        z
-        / (n + z * z)
-        * (successes * (n - successes) / n + z * z / 4.0) ** 0.5
-    )
+    return 1.0 / (n + 1.0) * (successes * (n - successes) / n + 0.25) ** 0.5
 
 
 def _mid_primes(m: int, k: int) -> tuple[int, ...]:
@@ -191,9 +184,7 @@ def sample_f_statistics(
         "X": _tail(x_vals, thr_x),
     }
     return TupleStatistics(
-        m=m, k=k, x=x, samples=samples, seed=seed, shards=shards,
-        c=c, c_prime=c_prime, f_values=f_vals, X_values=x_vals,
-        zero_counts=dict(zero_counts), tail_estimates=tails,
+        f_values=f_vals, X_values=x_vals, zero_counts=dict(zero_counts), tail_estimates=tails
     )
 
 
@@ -211,10 +202,6 @@ def _tail(values: list[float], threshold: float) -> TailEstimate:
 
 @dataclass(frozen=True)
 class ChernoffBound:
-    m: int
-    k: int
-    r: float
-    s: float
     moment_product: float
     tail_bound: float
 
@@ -223,34 +210,31 @@ def chernoff_tail_bound(m: int, k: int, r: float, s: float) -> ChernoffBound:
     """e^(-rs) * prod_p E[e^{r X_p / p}] over m^2 < p <= k.
 
     Per prime, E = P0 + (1 - P0) e^{r/p} with the exact rational
-    birthday P0; only the exponential factor is float64.
+    birthday P0; only the exponential factor is float64.  An e^{r/p} or
+    a product past float range raises ResourceLimitError.
     """
     if r < 0 or s < 0:
         raise DomainError(f"need r, s >= 0, got r={r}, s={s}")
     product = 1.0
     for p in _mid_primes(m, k):
         p0 = float(birthday_prob_exact(m, p))
-        product *= p0 + (1.0 - p0) * exp(r / p)
-    return ChernoffBound(
-        m=m, k=k, r=r, s=s,
-        moment_product=product,
-        tail_bound=exp(-r * s) * product,
-    )
+        try:
+            product *= p0 + (1.0 - p0) * exp(r / p)
+        except OverflowError:
+            product = inf
+        if not isfinite(product):
+            raise ResourceLimitError(f"moment product at r={r} exceeds float range at p={p}")
+    return ChernoffBound(moment_product=product, tail_bound=exp(-r * s) * product)
 
 
 @dataclass(frozen=True)
 class TranslationClassCount:
-    h: IntTuple
-    x: int
-    k: int
     exact_count: int
     crt_predicted: int
     density_bound: Fraction
 
 
-def translation_class_count(
-    h: IntTuple, x: int, k: int, scan_budget: int = TRANSLATION_SCAN_BUDGET
-) -> TranslationClassCount:
+def translation_class_count(h: IntTuple, x: int, k: int) -> TranslationClassCount:
     """Count translates of h landing entirely on coprime values.
 
     exact_count scans every shift in (-x, x] and tests gcd directly;
@@ -258,10 +242,11 @@ def translation_class_count(
     period and scales by the 2x/R whole periods in the window.  The
     third value is the 3x * prod(1 - n_p/p) comparison bound.
     """
-    space = SampleSpace(x=x, k=k, R=arith.primorial(k))
-    if 2 * x > scan_budget:
-        raise WindowTooLargeError(f"scan of {2 * x} shifts exceeds budget {scan_budget}")
-    R = space.R
+    R = SampleSpace(x=x, k=k).R
+    if 2 * x > TRANSLATION_SCAN_BUDGET:
+        raise WindowTooLargeError(
+            f"scan of {2 * x} shifts exceeds budget {TRANSLATION_SCAN_BUDGET}"
+        )
     exact = 0
     for shift in range(-x + 1, x + 1):
         if all(gcd(e + shift, R) == 1 for e in h):
@@ -272,20 +257,11 @@ def translation_class_count(
         n_p = residue_count(h, p)
         crt *= p - n_p
         bound *= Fraction(p - n_p, p)
-    return TranslationClassCount(
-        h=h, x=x, k=k, exact_count=exact, crt_predicted=crt, density_bound=bound
-    )
+    return TranslationClassCount(exact_count=exact, crt_predicted=crt, density_bound=bound)
 
 
 @dataclass(frozen=True)
 class SurvivalEstimate:
-    m: int
-    k: int
-    x: int
-    q: int | None
-    trials: int
-    seed: int
-    shards: int
     survivors: int
     estimate: float
     std_error: float
@@ -316,7 +292,7 @@ def lll_survival_experiment(
         raise DomainError(f"q must be >= 2, got {q}")
     if trials < 1 or not 1 <= shards <= trials:
         raise DomainError(f"bad trials/shards: {trials}/{shards}")
-    probe = SampleSpace(x=x, k=k, R=arith.primorial(k))
+    probe = SampleSpace(x=x, k=k)
     if probe.size < 4 * k:
         raise InsufficientPopulationError(
             f"population {probe.size} below 4k = {4 * k}"
@@ -332,7 +308,6 @@ def lll_survival_experiment(
                 continue
             survivors += 1
     return SurvivalEstimate(
-        m=m, k=k, x=x, q=q, trials=trials, seed=seed, shards=shards,
         survivors=survivors,
         estimate=survivors / trials,
         std_error=wilson_halfwidth(survivors, trials),

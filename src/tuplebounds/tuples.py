@@ -13,19 +13,14 @@ primorial, and its size then has the exact closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .arith import primes_up_to, primorial, primorial_totient
-from .errors import (
-    DomainError,
-    InsufficientPopulationError,
-    RegressionFailure,
-    WindowTooLargeError,
-)
+from .errors import DomainError, RegressionFailure, WindowTooLargeError
 
-DEFAULT_MAX_ELEMENTS = 1_000_000
+MAX_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -88,17 +83,16 @@ def is_admissible(h: IntTuple) -> bool:
 
 @dataclass(frozen=True)
 class SampleSpace:
-    """Integers in ``(-x, x]`` coprime to the primorial of ``k``."""
+    """Integers in ``(-x, x]`` coprime to ``R``, the primorial of ``k``."""
 
     x: int
     k: int
-    R: int
+    R: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError(f"cutoff k must be >= 1, got {self.k}")
-        if self.R != primorial(self.k):
-            raise DomainError(f"R={self.R} is not the primorial of {self.k}")
+        object.__setattr__(self, "R", primorial(self.k))
         if self.x <= 0 or self.x % self.R != 0:
             raise DomainError(f"x={self.x} must be a positive multiple of R={self.R}")
 
@@ -106,8 +100,7 @@ class SampleSpace:
     def for_cutoff(cls, k: int, multiple: int = 1) -> "SampleSpace":
         if multiple < 1:
             raise DomainError(f"multiple must be >= 1, got {multiple}")
-        R = primorial(k)
-        return cls(x=multiple * R, k=k, R=R)
+        return cls(x=multiple * primorial(k), k=k)
 
     @property
     def totient_R(self) -> int:
@@ -124,24 +117,19 @@ class SampleSpace:
         return Fraction(self.totient_R, self.R)
 
 
-def enumerate_sample_space(
-    space: SampleSpace, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> list[int]:
+def enumerate_sample_space(space: SampleSpace) -> list[int]:
     """All members of the window in ascending order."""
-    if space.size > max_elements:
-        raise WindowTooLargeError(
-            f"window holds {space.size} elements, budget is {max_elements}"
-        )
+    if space.size > MAX_ELEMENTS:
+        raise WindowTooLargeError(f"window holds {space.size} elements, budget is {MAX_ELEMENTS}")
     return [n for n in range(-space.x + 1, space.x + 1) if gcd(n, space.R) == 1]
 
 
-def first_k_admissible(k: int, x: int | None = None) -> IntTuple:
+def first_k_admissible(k: int) -> IntTuple:
     """The k smallest positive integers coprime to the primorial of k.
 
     Such a tuple is admissible by construction: no element is divisible
     by any prime up to k, so the zero class mod each of those primes is
-    free.  With ``x`` set, the scan stops at ``x`` and raises if fewer
-    than k qualifying integers exist below it.
+    free.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -149,10 +137,6 @@ def first_k_admissible(k: int, x: int | None = None) -> IntTuple:
     out: list[int] = []
     n = 1
     while len(out) < k:
-        if x is not None and n > x:
-            raise InsufficientPopulationError(
-                f"only {len(out)} coprime integers in [1, {x}], needed {k}"
-            )
         if gcd(n, R) == 1:
             out.append(n)
         n += 1

@@ -1,6 +1,7 @@
 """Prime utilities and exact decimal rendering."""
 
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import exp, gcd, log
@@ -177,3 +178,16 @@ def test_exp_to_decimal_far_outside_float_range():
 def test_rational_to_json_shape():
     out = arith.rational_to_json(Fraction(1, 210))
     assert out == {"num": "1", "den": "210", "decimal": "0.00476190476190"}
+
+
+def test_int_to_str_refuses_exactly_past_the_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int->str digit limit")
+    for n in (10**limit - 1, -(10**limit - 1)):
+        assert arith.int_to_str(n) == str(n)
+    for n in (10**limit, -(10**limit)):
+        with pytest.raises(ResourceLimitError):
+            arith.int_to_str(n)
+    with pytest.raises(ResourceLimitError):
+        arith.to_decimal(Fraction(1, 3), limit + 1)

@@ -228,7 +228,7 @@ def test_delta_chain_ordering_fault_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
         plausible,
         "delta_upper_congruence",
-        lambda m, k, budget: replace(orig(m, k, budget), density=Fraction(1, 10**9)),
+        lambda m, k: replace(orig(m, k), density=Fraction(1, 10**9)),
     )
     code, env = run(capsys, "delta-chain", "--m", "2")
     assert code == 2

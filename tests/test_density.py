@@ -35,7 +35,7 @@ def test_per_prime_formula_equals_bruteforce_small_grid():
 
 def test_bruteforce_budget_and_prime_checks():
     with pytest.raises(InstanceTooLargeError):
-        density.rho_adm_mod_p_bruteforce(30, 2, limit=10_000)
+        density.rho_adm_mod_p_bruteforce(30, 2)
     with pytest.raises(DomainError):
         density.rho_adm_mod_p_bruteforce(2, 4)
     with pytest.raises(DomainError):

@@ -155,13 +155,14 @@ def test_construction_is_admissible_tuple():
             assert is_admissible(b.as_tuple)
 
 
-def test_construction_domain_and_search_cap():
+def test_construction_domain_and_search_cap(monkeypatch):
     with pytest.raises(DomainError):
         polignac.build_construction(1, 1)
     with pytest.raises(DomainError):
         polignac.build_construction(5, 5)
+    monkeypatch.setattr(polignac, "H_SEARCH_CAP", 1)
     with pytest.raises(ConstructionFailedError):
-        polignac.build_construction(3, 1, h_search_cap=1)
+        polignac.build_construction(3, 1)
 
 
 def test_verify_construction_full_grid():
@@ -181,10 +182,11 @@ def test_verify_density_matches_closed_form():
     assert Fraction(chk.density_count, chk.period) == b.A_density
 
 
-def test_verify_respects_period_budget():
+def test_verify_respects_period_budget(monkeypatch):
     b = polignac.build_construction(8, 7)
+    monkeypatch.setattr(polignac, "PERIOD_BUDGET", 10)
     with pytest.raises(WindowTooLargeError):
-        polignac.verify_construction(b, period_budget=10)
+        polignac.verify_construction(b)
 
 
 def test_a_density_below_eta_upper():

@@ -6,12 +6,9 @@ from math import gcd
 
 import pytest
 
+from tuplebounds import tuples
 from tuplebounds.arith import primes_up_to
-from tuplebounds.errors import (
-    DomainError,
-    InsufficientPopulationError,
-    WindowTooLargeError,
-)
+from tuplebounds.errors import DomainError, WindowTooLargeError
 from tuplebounds.tuples import (
     IntTuple,
     SampleSpace,
@@ -102,9 +99,7 @@ def test_sample_space_validation():
     assert (s.x, s.k, s.R) == (6, 3, 6)
     assert SampleSpace.for_cutoff(3, multiple=4).x == 24
     with pytest.raises(DomainError):
-        SampleSpace(x=5, k=3, R=6)  # x not a multiple of R
-    with pytest.raises(DomainError):
-        SampleSpace(x=6, k=3, R=5)  # wrong primorial
+        SampleSpace(x=5, k=3)  # x not a multiple of R = 6
     with pytest.raises(DomainError):
         SampleSpace.for_cutoff(0)
 
@@ -131,10 +126,11 @@ def test_enumerated_space_closed_under_negation():
         assert sorted(-n for n in members) == members
 
 
-def test_enumerate_respects_budget():
+def test_enumerate_respects_budget(monkeypatch):
     s = SampleSpace.for_cutoff(5, multiple=100)
+    monkeypatch.setattr(tuples, "MAX_ELEMENTS", 10)
     with pytest.raises(WindowTooLargeError):
-        enumerate_sample_space(s, max_elements=10)
+        enumerate_sample_space(s)
 
 
 def test_first_k_admissible_values():
@@ -144,7 +140,3 @@ def test_first_k_admissible_values():
     for k in range(1, 26):
         assert is_admissible(first_k_admissible(k))
 
-
-def test_first_k_admissible_respects_scan_cap():
-    with pytest.raises(InsufficientPopulationError):
-        first_k_admissible(5, x=10)
