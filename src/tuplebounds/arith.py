@@ -129,12 +129,24 @@ def totients_up_to(n: int) -> np.ndarray:
     ``MAX_SIEVE_LIMIT``; ``phi(i) <= i`` keeps every value in ``int32``.
     Each prime ``p`` takes ``phi(i) // p`` off every multiple ``i``; the
     quotient is exact whichever order the primes of ``i`` come in.
+
+    Primes up to ``isqrt(n)`` update their multiples one slice each.  The
+    larger primes go in batches by cofactor: for each ``j``, every such
+    ``p <= n // j`` updates index ``j * p`` at once.  No index has two
+    prime factors above ``isqrt(n)``, so no update repeats an index.
     """
     primes = primes_up_to(n)
     phi = np.arange(n + 1, dtype=np.int32)
-    for p in primes:
+    split = bisect_right(primes, isqrt(n))
+    for p in primes[:split]:
         multiples = phi[p::p]
         multiples -= multiples // p
+    large = np.array(primes[split:], dtype=np.int64)
+    j_max = n // primes[split] if len(large) else 0
+    for j in range(1, j_max + 1):
+        ps = large[: np.searchsorted(large, n // j, side="right")]
+        idx = j * ps
+        phi[idx] -= phi[idx] // ps
     return phi
 
 
@@ -152,9 +164,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def int_to_str(n: int) -> str:
-    """``str(n)``, refused with ResourceLimitError where Python's int->str
-    digit limit would raise ValueError.
+def check_str_digits(n: int) -> int:
+    """``n`` itself, refused with ResourceLimitError where Python's int->str
+    digit limit would make ``str(n)`` (or ``json.dumps``) raise ValueError.
 
     ``n`` has more than ``limit`` digits exactly when ``|n| >= 10**limit``;
     below ``3 * limit`` bits (``8**limit < 10**limit``) it cannot.
@@ -164,7 +176,12 @@ def int_to_str(n: int) -> str:
         raise ResourceLimitError(
             f"a {n.bit_length()}-bit integer exceeds the {limit}-digit int->str limit"
         )
-    return str(n)
+    return n
+
+
+def int_to_str(n: int) -> str:
+    """``str(n)`` after :func:`check_str_digits`."""
+    return str(check_str_digits(n))
 
 
 def to_decimal(x: Fraction, sig_digits: int) -> str:

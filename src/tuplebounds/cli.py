@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import arith, density, plausible, polignac, stochastic
-from .arith import int_to_str, rational_to_json, to_decimal
+from .arith import check_str_digits, int_to_str, rational_to_json, to_decimal
 from .errors import DomainError, RegressionFailure, ResourceLimitError
 from .report import (
     NOTE_CONTINUOUS,
@@ -171,12 +171,14 @@ def _attrs(obj: object, *names: str) -> dict:
 
 def _rho_adm(a: argparse.Namespace) -> tuple[list, dict, int]:
     if a.mode == "mc":
+        # The exact reference first: past float range it refuses before any sampling.
+        exact = float(density.rho_adm_exact(a.m).total)
         est = density.rho_adm_mc(a.m, a.range, a.samples, a.seed, a.shards)
         result = {
             "name": "rho_adm_mc",
             **_attrs(est, "estimate", "std_error", "successes", "samples"),
             "range_bound": a.range,
-            "exact_reference": float(density.rho_adm_exact(a.m).total),
+            "exact_reference": exact,
         }
         return [result], {"notes": [NOTE_MODEL]}, 0
     rep = density.rho_adm_exact(a.m)
@@ -236,9 +238,12 @@ def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
 
 
 def _bundle_json(bundle: polignac.ConstructionBundle, sig_digits: int) -> dict:
+    fields = _attrs(bundle, "ell", "y", "v", "r", "M", "h", "q")
+    for n in (*fields.values(), *bundle.B1, *bundle.B2):
+        check_str_digits(n)
     return {
         "name": "construction",
-        **_attrs(bundle, "ell", "y", "v", "r", "M", "h", "q"),
+        **fields,
         "B1": list(bundle.B1),
         "B2": list(bundle.B2),
         "elements": list(bundle.elements),
@@ -306,14 +311,20 @@ def _summary(values: list[float]) -> dict:
     return {"count": n, "mean": sum(values) / n, "min": min(values), "max": max(values)}
 
 
+def _window_x(a: argparse.Namespace) -> int:
+    """``x_mult * primorial(k)``, refused before sampling if the envelope
+    could not print it."""
+    return check_str_digits(a.x_mult * arith.primorial(a.k))
+
+
 def _mc_f_stats(a: argparse.Namespace) -> tuple[list, dict, int]:
+    x = _window_x(a)
     # Open --csv before sampling, so an unwritable path fails at once.
     try:
         fh = open(a.csv, "w", newline="") if a.csv else contextlib.nullcontext()
     except OSError as exc:
         raise DomainError(f"cannot write --csv: {exc}") from None
     with fh:
-        x = a.x_mult * arith.primorial(a.k)
         stats = stochastic.sample_f_statistics(
             a.m, a.k, x, a.samples, a.seed, a.c, a.cprime, a.shards
         )
@@ -336,7 +347,7 @@ def _mc_f_stats(a: argparse.Namespace) -> tuple[list, dict, int]:
 
 def _translation_count(a: argparse.Namespace) -> list:
     h = _parse_tuple(a.tuple)
-    x = a.x_mult * arith.primorial(a.k)
+    x = _window_x(a)
     rep = stochastic.translation_class_count(h, x, a.k)
     return [
         {
@@ -351,7 +362,7 @@ def _translation_count(a: argparse.Namespace) -> list:
 
 
 def _lll_survival(a: argparse.Namespace) -> list:
-    x = a.x_mult * arith.primorial(a.k)
+    x = _window_x(a)
     est = stochastic.lll_survival_experiment(a.m, a.k, x, a.trials, a.seed, a.q, a.shards)
     return [
         {

@@ -21,9 +21,9 @@ from math import comb, exp, log
 import numpy as np
 
 from .arith import GAMMA, exp_to_decimal, is_prime, primes_up_to
-from .errors import DomainError, InstanceTooLargeError
+from .errors import DomainError, InstanceTooLargeError, ResourceLimitError
 from .stochastic import shard_streams
-from .tuples import IntTuple, is_admissible
+from .tuples import is_admissible
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -80,7 +80,8 @@ class AdmissibleDensityReport:
     The asymptotic field renders the prediction 1/(e^gamma log m)^m and
     the ratio divides the exact density by it; both are None at m = 1
     where log m vanishes.  Neither carries a tolerance: the error term
-    is only known to be e^(o(m)).
+    is only known to be e^(o(m)).  :func:`rho_adm_exact` raises
+    ResourceLimitError where (e^gamma log m)^m leaves float range.
     """
 
     per_prime: dict[int, Fraction]
@@ -93,14 +94,19 @@ def rho_adm_exact(m: int) -> AdmissibleDensityReport:
     """Admissible density as the product of per-prime factors over p <= m."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    # Checked before the product, which takes seconds from m ~ 1000 on.
+    shape = exp(GAMMA) * log(m)
+    try:
+        scale = shape**m
+    except OverflowError:
+        raise ResourceLimitError(f"(e^gamma log m)^m at m={m} exceeds float range") from None
     per_prime = {p: rho_adm_mod_p_exact(m, p) for p in primes_up_to(m)}
     total = Fraction(1)
     for f in per_prime.values():
         total *= f
     if m >= 2:
-        shape = exp(GAMMA) * log(m)
         asymptotic = exp_to_decimal(-m * log(shape))
-        ratio = float(total) * shape**m
+        ratio = float(total) * scale
     else:
         asymptotic = None
         ratio = None
@@ -137,11 +143,12 @@ def rho_adm_mc(
         raise DomainError(f"samples must be >= 100, got {samples}")
     if shards < 1 or shards > samples:
         raise DomainError(f"bad samples/shards: {samples}/{shards}")
+    population = range(-range_bound, range_bound + 1)
     successes = 0
     for rng, n_i in shard_streams(seed, samples, shards):
+        sample = rng.sample
         for _ in range(n_i):
-            picks = rng.sample(range(-range_bound, range_bound + 1), m)
-            if is_admissible(IntTuple.from_iterable(picks)):
+            if is_admissible(sample(population, m)):
                 successes += 1
     est = successes / samples
     se = (est * (1.0 - est) / samples) ** 0.5

@@ -204,13 +204,17 @@ def asymptotic_template(
 
     general_shape = (log 2m)^(c_upper*m) / ((k/m) loglog(3k/m))^(m-1);
     congruence_shape = (c_lower / ((k/(m-1)) loglog(k/(m-1))))^(m-1).
+    A power or quotient past float range raises ResourceLimitError.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     if k < 3 * m:
         raise DomainError(f"need k/m >= 3 so loglog arguments exceed 1, got k={k}, m={m}")
-    general = log(2 * m) ** (c_upper * m) / ((k / m) * log(log(3 * k / m))) ** (m - 1)
-    congruence = (c_lower / ((k / (m - 1)) * log(log(k / (m - 1))))) ** (m - 1)
+    try:
+        general = log(2 * m) ** (c_upper * m) / ((k / m) * log(log(3 * k / m))) ** (m - 1)
+        congruence = (c_lower / ((k / (m - 1)) * log(log(k / (m - 1))))) ** (m - 1)
+    except OverflowError:
+        raise ResourceLimitError(f"template shapes at m={m}, k={k} exceed float range") from None
     return TemplateValues(general_shape=general, congruence_shape=congruence)
 
 

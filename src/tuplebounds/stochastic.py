@@ -69,14 +69,14 @@ class CoprimeWindowSampler:
             self._basis.append((p, m_p * pow(m_p % p, -1, p)))
 
     def draw(self) -> int:
+        randrange = self.rng.randrange
         R = self.space.R
         if R == 1:
-            return self.rng.randrange(-self.space.x + 1, self.space.x + 1)
+            return randrange(-self.space.x + 1, self.space.x + 1)
         u = 0
         for p, e_p in self._basis:
-            u += self.rng.randrange(1, p) * e_p
-        u %= R
-        return u + self.rng.randrange(-self.N, self.N) * R
+            u += randrange(1, p) * e_p
+        return u % R + randrange(-self.N, self.N) * R
 
     def draw_distinct(self, m: int) -> tuple[int, ...]:
         """m distinct elements, uniform over m-subsets, sorted.
@@ -159,21 +159,29 @@ def sample_f_statistics(
     f_vals: list[float] = []
     x_vals: list[float] = []
     zero_counts: Counter[int] = Counter({p: 0 for p in primes_mid})
+    # f(B) = f_scale * prod_p (p - n_p) / f_den: the factors that do not
+    # depend on B are multiplied once.  int / int is correctly rounded,
+    # so f_num / f_den is the float of the exact product.
+    f_scale = f_den = 1
+    for p in primes_mid:
+        f_scale *= p ** (m - 1)
+        f_den *= (p - 1) ** m
+    weights = [(p, 1.0 / p) for p in primes_mid]
 
     for rng, n in shard_streams(seed, samples, shards):
         sampler = CoprimeWindowSampler(k, x, rng)
         for _ in range(n):
             batch = sampler.draw_distinct(m)
-            f = Fraction(1)
+            f_num = f_scale
             x_stat = 0.0
-            for p in primes_mid:
+            for p, inv_p in weights:
                 n_p = len({b % p for b in batch})
-                f *= Fraction((p - n_p) * p ** (m - 1), (p - 1) ** m)
+                f_num *= p - n_p
                 if n_p < m:
-                    x_stat += 1.0 / p
+                    x_stat += inv_p
                 else:
                     zero_counts[p] += 1
-            f_vals.append(float(f))
+            f_vals.append(f_num / f_den)
             x_vals.append(x_stat)
 
     thr_f = log(3 * m) ** (c * m) * log(log(k)) ** (m - 1)
@@ -245,7 +253,7 @@ def translation_class_count(h: IntTuple, x: int, k: int) -> TranslationClassCoun
     R = SampleSpace(x=x, k=k).R
     if 2 * x > TRANSLATION_SCAN_BUDGET:
         raise WindowTooLargeError(
-            f"scan of {2 * x} shifts exceeds budget {TRANSLATION_SCAN_BUDGET}"
+            f"scan of {arith.int_to_str(2 * x)} shifts exceeds budget {TRANSLATION_SCAN_BUDGET}"
         )
     exact = 0
     for shift in range(-x + 1, x + 1):

@@ -13,6 +13,7 @@ primorial, and its size then has the exact closed form
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -76,9 +77,14 @@ def residue_profile(h: IntTuple, bound: int) -> dict[int, int]:
     return {p: residue_count(h, p) for p in primes_up_to(bound)}
 
 
-def is_admissible(h: IntTuple) -> bool:
-    """True when ``h`` misses a residue class mod every prime ``p <= len(h)``."""
-    return all(residue_count(h, p) < p for p in primes_up_to(len(h)))
+def is_admissible(h: IntTuple | Sequence[int]) -> bool:
+    """True when ``h`` misses a residue class mod every prime ``p <= len(h)``.
+
+    ``h`` is any sequence of distinct ints, an :class:`IntTuple` or a
+    plain list alike; order does not matter.  Residues are counted
+    inline, so a Monte Carlo loop can pass each drawn list straight in.
+    """
+    return all(len({e % p for e in h}) < p for p in primes_up_to(len(h)))
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,22 @@ def test_totients_up_to_matches_trial_division():
     assert arith.totients_up_to(2).tolist() == [0, 1, 1]
 
 
+def _totients_per_prime(n):
+    # The sieve before the larger primes were batched: one slice per prime.
+    phi = np.arange(n + 1, dtype=np.int32)
+    for p in arith.primes_up_to(n):
+        multiples = phi[p::p]
+        multiples -= multiples // p
+    return phi
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1_000, 97**2, 10**5])
+def test_totients_up_to_matches_per_prime_sieve(n):
+    phi = arith.totients_up_to(n)
+    assert phi.dtype == np.int32
+    assert np.array_equal(phi, _totients_per_prime(n))
+
+
 def test_totients_up_to_domain_and_cap():
     with pytest.raises(DomainError):
         arith.totients_up_to(-1)

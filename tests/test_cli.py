@@ -2,13 +2,14 @@
 
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tuplebounds import arith, cli, plausible, polignac, tuples
+from tuplebounds import arith, cli, density, plausible, polignac, tuples
 
 
 def run(capsys, *argv):
@@ -296,6 +297,66 @@ def test_huge_prime_flag_hits_resource_limit_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 4
     assert env["error"]["kind"] == "resource-limit"
+
+
+_HUGE_MULT = str(10**4299)  # 4300 digits: parses, but times primorial(k >= 5) does not print
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-f-stats", "--m", "2", "--k", "10007", "--samples", "1"],
+        ["mc-f-stats", "--m", "2", "--k", "30", "--x-mult", _HUGE_MULT],
+        ["lll-survival", "--m", "3", "--k", "12", "--x-mult", _HUGE_MULT],
+        ["translation-count", "--tuple", "0,2", "--k", "5", "--x-mult", _HUGE_MULT],
+        # x = 6 * 10**4299 prints, but the window error's 2x would not.
+        ["translation-count", "--tuple", "0,2", "--k", "3", "--x-mult", _HUGE_MULT],
+    ],
+)
+def test_raw_ints_past_digit_limit_are_refused_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, env = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 4
+    assert env["error"]["kind"] == "resource-limit"
+    assert "int->str limit" in env["error"]["message"]
+
+
+def test_construction_fields_past_digit_limit_are_refused(capsys):
+    # At the lowest allowed limit, M = primorial(1700) has about 740 digits.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, env = run(capsys, "construct", "--ell", "1700", "--y", "1")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 4
+    assert "int->str limit" in env["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho-adm", "--m", "306"],
+        ["rho-adm", "--m", "20000"],
+        ["rho-adm", "--mc", "--m", "400"],
+        ["asymptotic-template", "--m", "400", "--k", "1200", "--c-upper", "100"],
+        ["asymptotic-template", "--m", "2", "--k", str(10**400)],
+        ["asymptotic-template", "--m", "3", "--k", "50", "--c-lower", "1e300"],
+    ],
+)
+def test_float_overflow_is_resource_limit(capsys, argv):
+    t0 = time.perf_counter()
+    code, env = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 4
+    assert "exceed" in env["error"]["message"] and "float range" in env["error"]["message"]
+
+
+def test_asymptotic_ratio_at_the_last_m_in_float_range():
+    # m = 305 is the last m whose (e^gamma log m)^m fits a float.
+    rep = density.rho_adm_exact(305)
+    assert 0 < rep.asymptotic_ratio < math.inf
 
 
 def test_asymptotic_template_defaults(capsys):

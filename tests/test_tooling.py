@@ -25,7 +25,7 @@ def test_benchmark_tracer_hooks_fit_the_package():
     import importlib.util
 
     import tuplebounds.cli  # noqa: F401  (install needs every module loaded)
-    from tuplebounds import density, polignac
+    from tuplebounds import arith, density, polignac, stochastic
 
     path = SRC.parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
@@ -38,6 +38,7 @@ def test_benchmark_tracer_hooks_fit_the_package():
     try:
         est = density.rho_adm_mc(3, 100, 100)
         chk = polignac.verify_construction(polignac.build_construction(3, 1))
+        stochastic.sample_f_statistics(2, 30, arith.primorial(30), 20, 0)
         metrics = tracer.metrics(0)
     finally:
         tracer.remove()
@@ -45,5 +46,7 @@ def test_benchmark_tracer_hooks_fit_the_package():
     assert metrics["polignac.verify_construction.calls"][0] == 1
     assert metrics["polignac.verify_construction.period_elements"][0] == chk.period
     assert metrics["density.rho_adm_mc.samples_per_s"][0] > 0
+    # Reads 0 if draw_distinct stops calling draw() once per element.
+    assert metrics["stochastic.draw_distinct.draws_per_accept"][0] >= 1
     assert est.samples == 100
     assert density.rho_adm_mc is original
