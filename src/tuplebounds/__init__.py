@@ -29,16 +29,7 @@ from .density import (
     rho_adm_mod_p_exact,
     summand_ratio_check,
 )
-from .errors import (
-    ConstructionFailedError,
-    DomainError,
-    InstanceTooLargeError,
-    InsufficientPopulationError,
-    RegressionFailure,
-    ResourceLimitError,
-    TupleBoundsError,
-    WindowTooLargeError,
-)
+from .errors import DomainError, RegressionFailure, ResourceLimitError, TupleBoundsError
 from .plausible import (
     CongruenceUpperBound,
     DeltaChainReport,
@@ -91,74 +82,3 @@ from .tuples import (
 
 __version__ = VERSION
 
-__all__ = [
-    "GAMMA",
-    "VERSION",
-    "AdmissibleDensityReport",
-    "BoundReport",
-    "ChernoffBound",
-    "CongruenceUpperBound",
-    "ConstructionBundle",
-    "ConstructionCheck",
-    "ConstructionFailedError",
-    "CoprimeWindowSampler",
-    "DeltaChainReport",
-    "DomainError",
-    "EtaBounds",
-    "InstanceTooLargeError",
-    "InsufficientPopulationError",
-    "IntTuple",
-    "LLLParameters",
-    "McDensityEstimate",
-    "PigeonholeWitness",
-    "RegressionFailure",
-    "ResourceLimitError",
-    "SampleSpace",
-    "SummandRatioReport",
-    "SurvivalEstimate",
-    "TemplateValues",
-    "TranslationClassCount",
-    "TupleBoundsError",
-    "TupleStatistics",
-    "WindowTooLargeError",
-    "birthday_prob_exact",
-    "build_construction",
-    "chernoff_tail_bound",
-    "counting_power_bound",
-    "delta2_lower",
-    "delta_m_chain",
-    "delta_upper_congruence",
-    "enumerate_sample_space",
-    "envelope",
-    "eta_bounds",
-    "eta_lower",
-    "eta_upper",
-    "exp_to_decimal",
-    "factorize",
-    "first_k_admissible",
-    "is_admissible",
-    "is_prime",
-    "lll_parameters",
-    "lll_survival_experiment",
-    "max_q_for",
-    "mertens_product",
-    "pintz_interval_constant",
-    "primes_up_to",
-    "primorial",
-    "rational_to_json",
-    "residue_count",
-    "residue_profile",
-    "rho_adm_exact",
-    "rho_adm_mc",
-    "rho_adm_mod_p_bruteforce",
-    "rho_adm_mod_p_exact",
-    "sample_f_statistics",
-    "summand_ratio_check",
-    "asymptotic_template",
-    "to_decimal",
-    "totient",
-    "translation_class_count",
-    "verify_construction",
-    "verify_pigeonhole",
-    "wilson_halfwidth",
-]

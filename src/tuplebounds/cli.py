@@ -48,7 +48,12 @@ ETA49_NOTE = (
 )
 
 
-def run_constant_checks(sig_digits: int = 12) -> dict:
+def _bound(a: argparse.Namespace, name: str, value: Fraction, formula: str = "", **detail) -> dict:
+    """The JSON of a named exact bound rendered at ``a.sig_digits``."""
+    return BoundReport(name, value, a.sig_digits, formula, detail).to_json()
+
+
+def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
     """One-shot regression run over the four pinned reference constants.
 
     Checks, in one pass: the ell = 49 pair-density lower bound renders
@@ -58,10 +63,6 @@ def run_constant_checks(sig_digits: int = 12) -> dict:
     the congruence upper bound is exactly 1/210, below 0.0048.  The
     envelope carries a "passed" flag plus per-check detail.
     """
-    return _envelope("check-constants", argparse.Namespace(sig_digits=sig_digits))[0]
-
-
-def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
     sig_digits = a.sig_digits
     eta49 = polignac.eta_lower(49)
     rendered = to_decimal(eta49, 10)
@@ -109,17 +110,9 @@ def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
         },
     ]
     results = [
-        BoundReport("eta_lower_49", eta49, sig_digits, "mertens_product(50) / 49").to_json(),
-        BoundReport(
-            "eta_upper_49_13", upper, sig_digits, "mertens_product(13) / (49 - 13)"
-        ).to_json(),
-        BoundReport(
-            "congruence_upper_2_50",
-            cong.density,
-            sig_digits,
-            "1 / q^(m-1) at the maximal q",
-            {"q": cong.q},
-        ).to_json(),
+        _bound(a, "eta_lower_49", eta49, "mertens_product(50) / 49"),
+        _bound(a, "eta_upper_49_13", upper, "mertens_product(13) / (49 - 13)"),
+        _bound(a, "congruence_upper_2_50", cong.density, "1 / q^(m-1) at the maximal q", q=cong.q),
     ]
     passed = all(c["ok"] for c in checks)
     extra = {"checks": checks, "passed": passed}
@@ -128,40 +121,28 @@ def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
     return results, extra, 0 if passed else 2
 
 
+def _delta2(a: argparse.Namespace, lower: Fraction) -> dict:
+    formula = f"minimum of eta_lower(ell) over ell in [1, {a.k - 1}]"
+    return _bound(a, "delta2_lower", lower, formula, k=a.k, argmin_ell=a.k - 1)
+
+
 def _delta2_report(a: argparse.Namespace) -> tuple[list, dict, int]:
-    k, sig_digits = a.k, a.sig_digits
-    lower = polignac.delta2_lower(k, sig_digits)
+    k = a.k
+    lower = polignac.delta2_lower(k)
     bounds = polignac.eta_bounds(k - 1)
     cong = plausible.delta_upper_congruence(2, k)
     cpb = plausible.counting_power_bound(2, k)
-    results = [lower.to_json()]
+    results = [_delta2(a, lower)]
     if bounds.best_upper is not None:
         y_best, val = bounds.best_upper
-        results.append(
-            BoundReport(
-                "best_eta_upper",
-                val,
-                sig_digits,
-                f"min over y of mertens_product(y) / ({k - 1} - y)",
-                {"ell": k - 1, "y": y_best},
-            ).to_json()
-        )
+        formula = f"min over y of mertens_product(y) / ({k - 1} - y)"
+        results.append(_bound(a, "best_eta_upper", val, formula, ell=k - 1, y=y_best))
     results += [
-        BoundReport(
-            "congruence_upper",
-            cong.density,
-            sig_digits,
-            "1 / q^(m-1) at the maximal q",
-            {"m": 2, "q": cong.q},
-        ).to_json(),
-        BoundReport(
-            "counting_power_bound", cpb, sig_digits, "(phi(R) / (k R))^m at m = 2"
-        ).to_json(),
-        BoundReport(
-            "lower_over_congruence_upper", lower.value / cong.density, sig_digits
-        ).to_json(),
+        _bound(a, "congruence_upper", cong.density, "1 / q^(m-1) at the maximal q", m=2, q=cong.q),
+        _bound(a, "counting_power_bound", cpb, "(phi(R) / (k R))^m at m = 2"),
+        _bound(a, "lower_over_congruence_upper", lower / cong.density),
     ]
-    return results, {"lower_le_congruence_upper": lower.value <= cong.density}, 0
+    return results, {"lower_le_congruence_upper": lower <= cong.density}, 0
 
 
 def _attrs(obj: object, *names: str) -> dict:
@@ -182,12 +163,8 @@ def _rho_adm(a: argparse.Namespace) -> tuple[list, dict, int]:
         }
         return [result], {"notes": [NOTE_MODEL]}, 0
     rep = density.rho_adm_exact(a.m)
-    result = BoundReport(
-        "rho_adm",
-        rep.total,
-        a.sig_digits,
-        "product over primes p <= m of the per-prime admissible density",
-    ).to_json()
+    formula = "product over primes p <= m of the per-prime admissible density"
+    result = _bound(a, "rho_adm", rep.total, formula)
     result["per_prime"] = {
         str(p): rational_to_json(v, a.sig_digits) for p, v in rep.per_prime.items()
     }
@@ -207,29 +184,14 @@ def _summand_ratio(a: argparse.Namespace) -> list:
 def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
     if a.y is not None:
         val = polignac.eta_upper(a.ell, a.y)
-        return [
-            BoundReport(
-                "eta_upper",
-                val,
-                a.sig_digits,
-                f"mertens_product({a.y}) / ({a.ell} - {a.y})",
-                {"ell": a.ell, "y": a.y},
-            ).to_json()
-        ]
+        formula = f"mertens_product({a.y}) / ({a.ell} - {a.y})"
+        return [_bound(a, "eta_upper", val, formula, ell=a.ell, y=a.y)]
     bounds = polignac.eta_bounds(a.ell)
-    results = [
-        BoundReport(
-            "eta_lower",
-            bounds.lower,
-            a.sig_digits,
-            f"mertens_product({a.ell + 1}) / {a.ell}",
-            {"ell": a.ell},
-        ).to_json()
-    ]
+    formula = f"mertens_product({a.ell + 1}) / {a.ell}"
+    results = [_bound(a, "eta_lower", bounds.lower, formula, ell=a.ell)]
     if bounds.best_upper is not None:
         y_best, val = bounds.best_upper
-        best = BoundReport("best_eta_upper", val, a.sig_digits, "", {"y": y_best})
-        results.append(best.to_json())
+        results.append(_bound(a, "best_eta_upper", val, y=y_best))
     upper_by_y = {
         str(y): rational_to_json(v, a.sig_digits) for y, v in sorted(bounds.upper_by_y.items())
     }
@@ -251,8 +213,17 @@ def _bundle_json(bundle: polignac.ConstructionBundle, sig_digits: int) -> dict:
     }
 
 
+def _build(a: argparse.Namespace) -> polignac.ConstructionBundle:
+    """``build_construction(ell, y)``, refused before the build if v*M
+    could not be printed: the v + 1 elements of B1 are distinct, 1 mod
+    M = primorial(ell) and in [0, q*M), so the largest exceeds v*M."""
+    if 1 <= a.y < a.ell:
+        check_str_digits((a.ell - a.y) * arith.primorial(a.ell))
+    return polignac.build_construction(a.ell, a.y)
+
+
 def _construct(a: argparse.Namespace) -> list | tuple[list, dict, int]:
-    bundle = polignac.build_construction(a.ell, a.y)
+    bundle = _build(a)
     results = [_bundle_json(bundle, a.sig_digits)]
     if not a.verify:
         return results
@@ -261,7 +232,7 @@ def _construct(a: argparse.Namespace) -> list | tuple[list, dict, int]:
 
 
 def _pintz(a: argparse.Namespace) -> list:
-    bundle = polignac.build_construction(a.ell, a.y)
+    bundle = _build(a)
     constant = polignac.pintz_interval_constant(bundle, a.k2)
     decimal = to_decimal(Fraction(constant), a.sig_digits)
     return [
@@ -272,15 +243,8 @@ def _pintz(a: argparse.Namespace) -> list:
 
 def _plausible_upper(a: argparse.Namespace) -> list:
     cong = plausible.delta_upper_congruence(a.m, a.k)
-    return [
-        BoundReport(
-            "congruence_upper",
-            cong.density,
-            a.sig_digits,
-            "1 / q^(m-1) at the maximal q with (m-1) phi(q) < k",
-            {"m": a.m, "k": a.k, "q": cong.q},
-        ).to_json()
-    ]
+    formula = "1 / q^(m-1) at the maximal q with (m-1) phi(q) < k"
+    return [_bound(a, "congruence_upper", cong.density, formula, m=a.m, k=a.k, q=cong.q)]
 
 
 def _lll_check(a: argparse.Namespace) -> list:
@@ -494,7 +458,7 @@ COMMANDS: dict[str, Command] = {
     "delta2-lower": Command(
         "lower bound min over ell of eta_lower",
         (_K, _SIG),
-        lambda a: [polignac.delta2_lower(a.k, a.sig_digits).to_json()],
+        lambda a: [_delta2(a, polignac.delta2_lower(a.k))],
     ),
     "construct": Command(
         "covering construction at (ell, y)",
@@ -518,13 +482,8 @@ COMMANDS: dict[str, Command] = {
         "counting bound (phi(R)/(kR))^m",
         (_M, _K, _SIG),
         lambda a: [
-            BoundReport(
-                "counting_power_bound",
-                plausible.counting_power_bound(a.m, a.k),
-                a.sig_digits,
-                "(phi(R) / (k R))^m with R = primorial(k)",
-                {"m": a.m, "k": a.k},
-            ).to_json()
+            _bound(a, "counting_power_bound", plausible.counting_power_bound(a.m, a.k),
+                   "(phi(R) / (k R))^m with R = primorial(k)", m=a.m, k=a.k)
         ],
     ),
     "delta-chain": Command(
@@ -575,13 +534,8 @@ COMMANDS: dict[str, Command] = {
         "exact P(all m residues distinct) mod p",
         (_M, _P, _SIG),
         lambda a: [
-            BoundReport(
-                "birthday_prob",
-                stochastic.birthday_prob_exact(a.m, a.p),
-                a.sig_digits,
-                "product over i < m of (1 - i/(p-1))",
-                {"m": a.m, "p": a.p},
-            ).to_json()
+            _bound(a, "birthday_prob", stochastic.birthday_prob_exact(a.m, a.p),
+                   "product over i < m of (1 - i/(p-1))", m=a.m, p=a.p)
         ],
     ),
     "translation-count": Command(

@@ -21,7 +21,7 @@ from math import comb, exp, log
 import numpy as np
 
 from .arith import GAMMA, exp_to_decimal, is_prime, primes_up_to
-from .errors import DomainError, InstanceTooLargeError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .stochastic import shard_streams
 from .tuples import is_admissible
 
@@ -56,9 +56,9 @@ def rho_adm_mod_p_bruteforce(m: int, p: int) -> Fraction:
         raise DomainError(f"m must be >= 1, got {m}")
     total = p**m
     if total > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(f"p**m = {total} exceeds budget {BRUTE_FORCE_LIMIT}")
+        raise ResourceLimitError(f"p**m = {total} exceeds budget {BRUTE_FORCE_LIMIT}")
     if p > 62:
-        raise InstanceTooLargeError(f"coverage bitmask needs p <= 62, got {p}")
+        raise ResourceLimitError(f"coverage bitmask needs p <= 62, got {p}")
     full = (1 << p) - 1
     covering = 0
     chunk = 1 << 20

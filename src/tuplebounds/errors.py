@@ -3,7 +3,7 @@
 Two broad failure families matter to callers: a request that is
 mathematically malformed (DomainError) and a request that is well formed
 but too large for the configured budgets (ResourceLimitError).  The CLI
-maps these to distinct exit codes.
+maps each class to its own exit code.
 """
 
 from __future__ import annotations
@@ -17,24 +17,8 @@ class DomainError(TupleBoundsError):
     """Parameters violate a mathematical precondition."""
 
 
-class InsufficientPopulationError(DomainError):
-    """A sample was requested from a population with too few elements."""
-
-
 class ResourceLimitError(TupleBoundsError):
     """The computation would exceed a configured size or time budget."""
-
-
-class WindowTooLargeError(ResourceLimitError):
-    """An integer window is too large to enumerate or scan."""
-
-
-class InstanceTooLargeError(ResourceLimitError):
-    """A brute-force enumeration would exceed its element budget."""
-
-
-class ConstructionFailedError(ResourceLimitError):
-    """A bounded search inside a construction exhausted its cap."""
 
 
 class RegressionFailure(TupleBoundsError):

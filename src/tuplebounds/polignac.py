@@ -21,14 +21,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import arith
-from .errors import (
-    ConstructionFailedError,
-    DomainError,
-    RegressionFailure,
-    WindowTooLargeError,
-)
-from .report import BoundReport
-from .tuples import IntTuple, is_admissible
+from .errors import DomainError, RegressionFailure, ResourceLimitError
+from .tuples import is_admissible
 
 H_SEARCH_CAP = 10**6
 PERIOD_BUDGET = 10**7
@@ -80,8 +74,8 @@ def eta_bounds(ell: int) -> EtaBounds:
     return EtaBounds(lower=lower, upper_by_y=upper_by_y, best_upper=best)
 
 
-def delta2_lower(k: int, sig_digits: int = 12) -> BoundReport:
-    """min over ell in [1, k-1] of eta_lower(ell), with the argmin.
+def delta2_lower(k: int) -> Fraction:
+    """min over ell in [1, k-1] of eta_lower(ell).
 
     eta_lower(ell) = M(ell+1)/ell with M(x) = prod_{p <= x} (1 - 1/p)
     strictly decreases in ell (M does not increase and 1/ell strictly
@@ -89,13 +83,7 @@ def delta2_lower(k: int, sig_digits: int = 12) -> BoundReport:
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    return BoundReport(
-        name="delta2_lower",
-        value=eta_lower(k - 1),
-        sig_digits=sig_digits,
-        formula=f"minimum of eta_lower(ell) over ell in [1, {k - 1}]",
-        detail={"k": k, "argmin_ell": k - 1},
-    )
+    return eta_lower(k - 1)
 
 
 @dataclass(frozen=True)
@@ -122,10 +110,6 @@ class ConstructionBundle:
     @property
     def elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.B1 + self.B2))
-
-    @property
-    def as_tuple(self) -> IntTuple:
-        return IntTuple(self.elements)
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -154,9 +138,7 @@ def build_construction(ell: int, y: int) -> ConstructionBundle:
             h, q = cand, maybe_q
             break
     else:
-        raise ConstructionFailedError(
-            f"no h <= {H_SEARCH_CAP} with h*{v}+1 prime and > {ell}"
-        )
+        raise ResourceLimitError(f"no h <= {H_SEARCH_CAP} with h*{v}+1 prime and > {ell}")
 
     # B1: i*h mod q, 1 mod M, for i = 0..v; reps taken in [0, q*M).
     B1 = tuple(_crt_pair(1, M, (i * h) % q, q) for i in range(v + 1))
@@ -185,7 +167,7 @@ def build_construction(ell: int, y: int) -> ConstructionBundle:
     )
     if len(set(bundle.elements)) != ell:
         raise RegressionFailure(f"construction at ell={ell}, y={y} repeats an element")
-    if not is_admissible(bundle.as_tuple):
+    if not is_admissible(bundle.elements):
         raise RegressionFailure(f"construction at ell={ell}, y={y} is not admissible")
     return bundle
 
@@ -209,7 +191,7 @@ def verify_construction(bundle: ConstructionBundle) -> ConstructionCheck:
     q, r, h = bundle.q, bundle.r, bundle.h
     period = q * r
     if period > PERIOD_BUDGET:
-        raise WindowTooLargeError(f"period {period} exceeds budget {PERIOD_BUDGET}")
+        raise ResourceLimitError(f"period {period} exceeds budget {PERIOD_BUDGET}")
 
     def in_a(a: int) -> bool:
         return a % q < h and gcd(a % r + 1, r) == 1

@@ -23,12 +23,7 @@ from math import exp, gcd, inf, isfinite, log
 from typing import Iterator
 
 from . import arith
-from .errors import (
-    DomainError,
-    InsufficientPopulationError,
-    ResourceLimitError,
-    WindowTooLargeError,
-)
+from .errors import DomainError, ResourceLimitError
 from .tuples import IntTuple, SampleSpace, residue_count
 
 TRANSLATION_SCAN_BUDGET = 20_000_000
@@ -84,10 +79,8 @@ class CoprimeWindowSampler:
         Redraws the whole batch on a duplicate so that conditioning
         preserves subset uniformity.
         """
-        if m > self.space.size:
-            raise InsufficientPopulationError(
-                f"requested {m} distinct from population {self.space.size}"
-            )
+        if not 1 <= m <= self.space.size:
+            raise DomainError(f"requested {m} distinct from population {self.space.size}")
         while True:
             batch = [self.draw() for _ in range(m)]
             if len(set(batch)) == m:
@@ -151,11 +144,25 @@ def sample_f_statistics(
 
     Thresholds: f at (log 3m)^(c*m) * (loglog k)^(m-1), X at
     loglog(r) + c_prime with r = max(m^2, m log k).  The constants c and
-    c_prime have no pinned values; they parameterize the report.
+    c_prime have no pinned values; they parameterize the report.  A
+    threshold past float range raises ResourceLimitError before any
+    sampling.
     """
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
     if samples < 1 or not 1 <= shards <= samples:
         raise DomainError(f"bad samples/shards: {samples}/{shards}")
     primes_mid = _mid_primes(m, k)
+    r = max(m * m, m * log(k))
+    if r <= 1:
+        raise DomainError(f"loglog(r) needs r = max(m^2, m log k) > 1, got m={m}, k={k}")
+    try:
+        thr_f = log(3 * m) ** (c * m) * log(log(k)) ** (m - 1)
+    except OverflowError:
+        thr_f = inf
+    thr_x = log(log(r)) + c_prime
+    if not (isfinite(thr_f) and isfinite(thr_x)):
+        raise ResourceLimitError(f"tail thresholds at m={m}, k={k}, c={c} exceed float range")
     f_vals: list[float] = []
     x_vals: list[float] = []
     zero_counts: Counter[int] = Counter({p: 0 for p in primes_mid})
@@ -184,13 +191,7 @@ def sample_f_statistics(
             f_vals.append(f_num / f_den)
             x_vals.append(x_stat)
 
-    thr_f = log(3 * m) ** (c * m) * log(log(k)) ** (m - 1)
-    r = max(m * m, m * log(k))
-    thr_x = log(log(r)) + c_prime
-    tails = {
-        "f": _tail(f_vals, thr_f),
-        "X": _tail(x_vals, thr_x),
-    }
+    tails = {"f": _tail(f_vals, thr_f), "X": _tail(x_vals, thr_x)}
     return TupleStatistics(
         f_values=f_vals, X_values=x_vals, zero_counts=dict(zero_counts), tail_estimates=tails
     )
@@ -252,7 +253,7 @@ def translation_class_count(h: IntTuple, x: int, k: int) -> TranslationClassCoun
     """
     R = SampleSpace(x=x, k=k).R
     if 2 * x > TRANSLATION_SCAN_BUDGET:
-        raise WindowTooLargeError(
+        raise ResourceLimitError(
             f"scan of {arith.int_to_str(2 * x)} shifts exceeds budget {TRANSLATION_SCAN_BUDGET}"
         )
     exact = 0
@@ -302,9 +303,7 @@ def lll_survival_experiment(
         raise DomainError(f"bad trials/shards: {trials}/{shards}")
     probe = SampleSpace(x=x, k=k)
     if probe.size < 4 * k:
-        raise InsufficientPopulationError(
-            f"population {probe.size} below 4k = {4 * k}"
-        )
+        raise DomainError(f"population {probe.size} below 4k = {4 * k}")
     survivors = 0
     for rng, n in shard_streams(seed, trials, shards):
         sampler = CoprimeWindowSampler(k, x, rng)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .arith import primes_up_to, primorial, primorial_totient
-from .errors import DomainError, RegressionFailure, WindowTooLargeError
+from .errors import DomainError, RegressionFailure, ResourceLimitError
 
 MAX_ELEMENTS = 1_000_000
 
@@ -53,16 +52,6 @@ class IntTuple:
 
     def __getitem__(self, i):
         return self.elements[i]
-
-    @property
-    def span(self) -> int:
-        return self.elements[-1] - self.elements[0]
-
-    def shifted(self, t: int) -> "IntTuple":
-        return IntTuple(tuple(e + t for e in self.elements))
-
-    def to_json(self) -> list[int]:
-        return list(self.elements)
 
 
 def residue_count(h: IntTuple, p: int) -> int:
@@ -102,12 +91,6 @@ class SampleSpace:
         if self.x <= 0 or self.x % self.R != 0:
             raise DomainError(f"x={self.x} must be a positive multiple of R={self.R}")
 
-    @classmethod
-    def for_cutoff(cls, k: int, multiple: int = 1) -> "SampleSpace":
-        if multiple < 1:
-            raise DomainError(f"multiple must be >= 1, got {multiple}")
-        return cls(x=multiple * primorial(k), k=k)
-
     @property
     def totient_R(self) -> int:
         return primorial_totient(self.k)
@@ -118,15 +101,11 @@ class SampleSpace:
         # (-x, x] is exactly 2x/R such blocks.
         return 2 * (self.x // self.R) * self.totient_R
 
-    @property
-    def unit_density(self) -> Fraction:
-        return Fraction(self.totient_R, self.R)
-
 
 def enumerate_sample_space(space: SampleSpace) -> list[int]:
     """All members of the window in ascending order."""
     if space.size > MAX_ELEMENTS:
-        raise WindowTooLargeError(f"window holds {space.size} elements, budget is {MAX_ELEMENTS}")
+        raise ResourceLimitError(f"window holds {space.size} elements, budget is {MAX_ELEMENTS}")
     return [n for n in range(-space.x + 1, space.x + 1) if gcd(n, space.R) == 1]
 
 

@@ -7,6 +7,9 @@ final digit, so the literal-string check is an expected failure and
 the corrected rendering is pinned by the main test instead.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -28,7 +31,10 @@ def _finish(n, label, failures, elapsed, limit):
 def test_criterion_1_pinned_constants():
     t0 = time.perf_counter()
     failures = []
-    env = cli.run_constant_checks()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["check-constants"])
+    env = json.loads(out.getvalue())
     for chk in env["checks"]:
         if not chk["ok"]:
             failures.append(chk["name"])
@@ -123,9 +129,9 @@ def test_criterion_5_monotonicity_sweeps():
                 failures.append(("cross", ell, y))
     for k in range(3, 61):
         # equality holds at k = 3, so the comparison is non-strict
-        if polignac.delta2_lower(k).value > plausible.delta_upper_congruence(2, k).density:
+        if polignac.delta2_lower(k) > plausible.delta_upper_congruence(2, k).density:
             failures.append(("order", k))
-    ratio = polignac.eta_bounds(49).best_upper[1] / polignac.delta2_lower(50).value
+    ratio = polignac.eta_bounds(49).best_upper[1] / polignac.delta2_lower(50)
     if not Fraction(3, 2) < ratio < 2:
         failures.append(("ratio", float(ratio)))
     _finish(5, "monotonicity-sweeps", failures, time.perf_counter() - t0, 10.0)

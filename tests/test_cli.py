@@ -134,6 +134,17 @@ def test_delta2_lower_command(capsys):
     assert r["detail"]["argmin_ell"] == 49
 
 
+def test_delta2_lower_report_shape(capsys):
+    _, env = run(capsys, "delta2-lower", "--k", "50", "--sig-digits", "10")
+    out = result_named(env, "delta2_lower")
+    assert out["name"] == "delta2_lower"
+    assert out["num"] == "229323571200"
+    assert out["den"] == "81013146586099"
+    assert out["decimal"] == "0.002830695768"
+    assert out["sig_digits"] == 10
+    assert out["detail"]["k"] == 50
+
+
 def test_construct_with_verification(capsys):
     code, env = run(capsys, "construct", "--ell", "3", "--y", "1", "--verify")
     assert code == 0
@@ -311,6 +322,9 @@ _HUGE_MULT = str(10**4299)  # 4300 digits: parses, but times primorial(k >= 5) d
         ["translation-count", "--tuple", "0,2", "--k", "5", "--x-mult", _HUGE_MULT],
         # x = 6 * 10**4299 prints, but the window error's 2x would not.
         ["translation-count", "--tuple", "0,2", "--k", "3", "--x-mult", _HUGE_MULT],
+        # v*M = 9999 * primorial(10000) does not print; the build would take a minute.
+        ["construct", "--ell", "10000", "--y", "1"],
+        ["pintz", "--ell", "10000", "--y", "1", "--k2", "5"],
     ],
 )
 def test_raw_ints_past_digit_limit_are_refused_at_once(capsys, argv):
@@ -323,11 +337,12 @@ def test_raw_ints_past_digit_limit_are_refused_at_once(capsys, argv):
 
 
 def test_construction_fields_past_digit_limit_are_refused(capsys):
-    # At the lowest allowed limit, M = primorial(1700) has about 740 digits.
+    # v*M = 1512 * primorial(1513) has 642 digits and passes the check before
+    # the build; the largest B1 element has 643, so the built fields refuse.
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(642)
     try:
-        code, env = run(capsys, "construct", "--ell", "1700", "--y", "1")
+        code, env = run(capsys, "construct", "--ell", "1513", "--y", "1")
     finally:
         sys.set_int_max_str_digits(old)
     assert code == 4

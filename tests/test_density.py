@@ -7,7 +7,7 @@ import pytest
 
 from tuplebounds import density
 from tuplebounds.arith import GAMMA, primes_up_to
-from tuplebounds.errors import DomainError, InstanceTooLargeError
+from tuplebounds.errors import DomainError, ResourceLimitError
 
 
 def test_per_prime_exact_known_values():
@@ -34,7 +34,7 @@ def test_per_prime_formula_equals_bruteforce_small_grid():
 
 
 def test_bruteforce_budget_and_prime_checks():
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(ResourceLimitError):
         density.rho_adm_mod_p_bruteforce(30, 2)
     with pytest.raises(DomainError):
         density.rho_adm_mod_p_bruteforce(2, 4)

@@ -38,6 +38,20 @@ def test_golden_envelope(case):
     assert stdout == (GOLDEN / f"{case['name']}.out").read_text()
 
 
+def _error(case) -> dict | None:
+    return json.loads((GOLDEN / f"{case['name']}.out").read_text()).get("error")
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if _error(c)], ids=lambda c: c["name"])
+def test_golden_error_is_one_family(case):
+    # One error class per exit code: the type names a family of cli._FAILURES,
+    # and the envelope's kind and exit code are that family's.
+    error = _error(case)
+    assert error["type"] in ("DomainError", "ResourceLimitError", "RegressionFailure")
+    families = {cls.__name__: family for cls, family in cli._FAILURES.items()}
+    assert (error["kind"], case["exit"]) == families[error["type"]]
+
+
 def _record(names: list[str]) -> None:
     for case in CASES:
         if names and case["name"] not in names:

@@ -7,7 +7,7 @@ import pytest
 
 from tuplebounds import polignac
 from tuplebounds.arith import GAMMA, mertens_product, primes_up_to, primorial, to_decimal
-from tuplebounds.errors import ConstructionFailedError, DomainError, WindowTooLargeError
+from tuplebounds.errors import DomainError, ResourceLimitError
 from tuplebounds.tuples import is_admissible
 
 ETA49 = Fraction(229323571200, 81013146586099)
@@ -66,18 +66,14 @@ def test_eta_lower_strictly_decreasing_to_200():
 
 
 def test_delta2_lower_values():
-    r2 = polignac.delta2_lower(2)
-    assert (r2.value, r2.detail["argmin_ell"]) == (Fraction(1, 2), 1)
-    r5 = polignac.delta2_lower(5)
-    assert (r5.value, r5.detail["argmin_ell"]) == (Fraction(1, 15), 4)
-    r50 = polignac.delta2_lower(50)
-    assert (r50.value, r50.detail["argmin_ell"]) == (ETA49, 49)
+    assert polignac.delta2_lower(2) == Fraction(1, 2)
+    assert polignac.delta2_lower(5) == Fraction(1, 15)
+    assert polignac.delta2_lower(50) == ETA49
 
 
 def test_delta2_lower_is_min_over_ell():
     for k in (3, 7, 20):
-        rep = polignac.delta2_lower(k)
-        assert rep.value == min(polignac.eta_lower(ell) for ell in range(1, k))
+        assert polignac.delta2_lower(k) == min(polignac.eta_lower(ell) for ell in range(1, k))
 
 
 def _delta2_running_scan(k):
@@ -96,19 +92,7 @@ def _delta2_running_scan(k):
 
 def test_delta2_lower_matches_running_scan():
     for k in [*range(2, 401), 1_000, 2_500, 4_000]:
-        rep = polignac.delta2_lower(k)
-        assert (rep.value, rep.detail["argmin_ell"]) == _delta2_running_scan(k), k
-
-
-def test_delta2_lower_report_shape():
-    rep = polignac.delta2_lower(50, sig_digits=10)
-    out = rep.to_json()
-    assert out["name"] == "delta2_lower"
-    assert out["num"] == "229323571200"
-    assert out["den"] == "81013146586099"
-    assert out["decimal"] == "0.002830695768"
-    assert out["sig_digits"] == 10
-    assert out["detail"]["k"] == 50
+        assert (polignac.delta2_lower(k), k - 1) == _delta2_running_scan(k), k
 
 
 def test_mertens_product_tracks_asymptotic_scale():
@@ -152,7 +136,7 @@ def test_construction_is_admissible_tuple():
         for y in range(1, ell):
             b = polignac.build_construction(ell, y)
             assert len(b.elements) == ell
-            assert is_admissible(b.as_tuple)
+            assert is_admissible(b.elements)
 
 
 def test_construction_domain_and_search_cap(monkeypatch):
@@ -161,7 +145,7 @@ def test_construction_domain_and_search_cap(monkeypatch):
     with pytest.raises(DomainError):
         polignac.build_construction(5, 5)
     monkeypatch.setattr(polignac, "H_SEARCH_CAP", 1)
-    with pytest.raises(ConstructionFailedError):
+    with pytest.raises(ResourceLimitError):
         polignac.build_construction(3, 1)
 
 
@@ -185,7 +169,7 @@ def test_verify_density_matches_closed_form():
 def test_verify_respects_period_budget(monkeypatch):
     b = polignac.build_construction(8, 7)
     monkeypatch.setattr(polignac, "PERIOD_BUDGET", 10)
-    with pytest.raises(WindowTooLargeError):
+    with pytest.raises(ResourceLimitError):
         polignac.verify_construction(b)
 
 

@@ -8,11 +8,7 @@ import pytest
 
 from tuplebounds import stochastic
 from tuplebounds.arith import primorial
-from tuplebounds.errors import (
-    DomainError,
-    InsufficientPopulationError,
-    WindowTooLargeError,
-)
+from tuplebounds.errors import DomainError, ResourceLimitError
 from tuplebounds.tuples import IntTuple, SampleSpace, enumerate_sample_space
 
 
@@ -34,7 +30,7 @@ def test_birthday_prob_domain():
 
 
 def test_sampler_draws_only_space_members():
-    space = SampleSpace.for_cutoff(5, multiple=2)
+    space = SampleSpace(x=2 * primorial(5), k=5)
     pool = set(enumerate_sample_space(space))
     samp = stochastic.CoprimeWindowSampler(5, space.x, random.Random(1))
     for _ in range(2_000):
@@ -42,7 +38,7 @@ def test_sampler_draws_only_space_members():
 
 
 def test_sampler_uniform_over_window_3_sigma():
-    space = SampleSpace.for_cutoff(5, multiple=2)
+    space = SampleSpace(x=2 * primorial(5), k=5)
     pool = enumerate_sample_space(space)
     samp = stochastic.CoprimeWindowSampler(5, space.x, random.Random(77))
     n = 6_400
@@ -73,8 +69,20 @@ def test_draw_distinct():
     samp = stochastic.CoprimeWindowSampler(3, 6, random.Random(2))
     batch = samp.draw_distinct(3)
     assert len(set(batch)) == 3
-    with pytest.raises(InsufficientPopulationError):
-        samp.draw_distinct(5)  # space only holds 4 values
+    for m in (5, 0, -1):  # space only holds 4 values; m < 1 never fills a batch
+        with pytest.raises(DomainError):
+            samp.draw_distinct(m)
+
+
+@pytest.mark.parametrize(
+    "m, k, c, error",
+    [(0, 30, 2.0, DomainError), (-1, 30, 2.0, DomainError), (1, 2, 2.0, DomainError),
+     (2, 30, 1000.0, ResourceLimitError), (2, 30, 1e308, ResourceLimitError)],
+)
+def test_f_statistics_refuses_before_sampling(monkeypatch, m, k, c, error):
+    monkeypatch.setattr(stochastic.CoprimeWindowSampler, "draw", None)
+    with pytest.raises(error):
+        stochastic.sample_f_statistics(m, k, primorial(k), 10, seed=0, c=c)
 
 
 def test_f_statistics_m1_degenerate():
@@ -168,7 +176,7 @@ def test_translation_count_frozen_example():
 
 
 def test_translation_count_singleton_is_whole_window():
-    space = SampleSpace.for_cutoff(3)
+    space = SampleSpace(x=6, k=3)
     rep = stochastic.translation_class_count(IntTuple((0,)), space.x, 3)
     assert rep.exact_count == space.size == 4
 
@@ -191,7 +199,7 @@ def test_translation_count_exact_equals_crt_on_whole_periods():
 
 
 def test_translation_count_scan_budget():
-    with pytest.raises(WindowTooLargeError):
+    with pytest.raises(ResourceLimitError):
         stochastic.translation_class_count(IntTuple((0, 2)), 12_000_000, 2)
 
 
@@ -226,5 +234,5 @@ def test_survival_domain_errors():
         stochastic.lll_survival_experiment(2, 13, 4 * primorial(13), 100, seed=0)
     with pytest.raises(DomainError):
         stochastic.lll_survival_experiment(7, 6, 4 * primorial(6), 100, seed=0)
-    with pytest.raises(InsufficientPopulationError):
+    with pytest.raises(DomainError):
         stochastic.lll_survival_experiment(2, 2, 2, 100, seed=0)

@@ -1,14 +1,13 @@
 """Tuple validation, admissibility, and the coprime sampling window."""
 
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from tuplebounds import tuples
-from tuplebounds.arith import primes_up_to
-from tuplebounds.errors import DomainError, WindowTooLargeError
+from tuplebounds.arith import primes_up_to, primorial
+from tuplebounds.errors import DomainError, ResourceLimitError
 from tuplebounds.tuples import (
     IntTuple,
     SampleSpace,
@@ -41,9 +40,6 @@ def test_tuple_accessors():
     assert len(h) == 3
     assert list(h) == [-3, 0, 5]
     assert h[1] == 0
-    assert h.span == 8
-    assert h.shifted(10).elements == (7, 10, 15)
-    assert h.to_json() == [-3, 0, 5]
 
 
 def test_residue_count_basics():
@@ -91,45 +87,43 @@ def test_admissibility_translation_invariant():
         m = rng.randrange(2, 8)
         h = IntTuple.from_iterable(rng.sample(range(-50, 51), m))
         t = rng.randrange(-1000, 1000)
-        assert is_admissible(h) == is_admissible(h.shifted(t))
+        assert is_admissible(h) == is_admissible([e + t for e in h])
 
 
 def test_sample_space_validation():
-    s = SampleSpace.for_cutoff(3)
+    s = SampleSpace(x=6, k=3)
     assert (s.x, s.k, s.R) == (6, 3, 6)
-    assert SampleSpace.for_cutoff(3, multiple=4).x == 24
     with pytest.raises(DomainError):
         SampleSpace(x=5, k=3)  # x not a multiple of R = 6
     with pytest.raises(DomainError):
-        SampleSpace.for_cutoff(0)
+        SampleSpace(x=1, k=0)
 
 
 def test_sample_space_size_and_density():
-    s = SampleSpace.for_cutoff(3)
+    s = SampleSpace(x=6, k=3)
     assert s.totient_R == 2
     assert s.size == 4
-    assert s.unit_density == Fraction(1, 3)
-    big = SampleSpace.for_cutoff(5, multiple=7)
+    big = SampleSpace(x=7 * primorial(5), k=5)
     # closed form vs direct count
     assert big.size == sum(1 for n in range(-big.x + 1, big.x + 1) if gcd(n, big.R) == 1)
 
 
 def test_enumerate_sample_space_small():
-    s = SampleSpace.for_cutoff(3)
+    s = SampleSpace(x=6, k=3)
     assert enumerate_sample_space(s) == [-5, -1, 1, 5]
 
 
 def test_enumerated_space_closed_under_negation():
     for k in (2, 3, 5):
-        s = SampleSpace.for_cutoff(k, multiple=2)
+        s = SampleSpace(x=2 * primorial(k), k=k)
         members = enumerate_sample_space(s)
         assert sorted(-n for n in members) == members
 
 
 def test_enumerate_respects_budget(monkeypatch):
-    s = SampleSpace.for_cutoff(5, multiple=100)
+    s = SampleSpace(x=100 * primorial(5), k=5)
     monkeypatch.setattr(tuples, "MAX_ELEMENTS", 10)
-    with pytest.raises(WindowTooLargeError):
+    with pytest.raises(ResourceLimitError):
         enumerate_sample_space(s)
 
 
