@@ -5,8 +5,7 @@ Everything downstream leans on four things provided here:
 * a cached prime sieve,
 * primorials, their totients and the partial Euler products
   ``prod_{p <= n} (1 - 1/p)``,
-* Euler's totient, one value by trial-division factorisation or a whole
-  range by a numpy sieve,
+* Euler's totient by trial-division factorisation,
 * exact decimal rendering of rationals at a requested number of
   significant digits (round to nearest, ties away from zero).
 
@@ -21,8 +20,6 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from math import floor, isqrt
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
@@ -120,34 +117,6 @@ def totient(n: int) -> int:
     for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
-
-
-def totients_up_to(n: int) -> np.ndarray:
-    """``phi(i)`` for every ``i`` in ``[0, n]`` as an ``int32`` array (``phi(0) = 0``).
-
-    Sieves over the primes of :func:`primes_up_to`, so ``n`` is capped by
-    ``MAX_SIEVE_LIMIT``; ``phi(i) <= i`` keeps every value in ``int32``.
-    Each prime ``p`` takes ``phi(i) // p`` off every multiple ``i``; the
-    quotient is exact whichever order the primes of ``i`` come in.
-
-    Primes up to ``isqrt(n)`` update their multiples one slice each.  The
-    larger primes go in batches by cofactor: for each ``j``, every such
-    ``p <= n // j`` updates index ``j * p`` at once.  No index has two
-    prime factors above ``isqrt(n)``, so no update repeats an index.
-    """
-    primes = primes_up_to(n)
-    phi = np.arange(n + 1, dtype=np.int32)
-    split = bisect_right(primes, isqrt(n))
-    for p in primes[:split]:
-        multiples = phi[p::p]
-        multiples -= multiples // p
-    large = np.array(primes[split:], dtype=np.int64)
-    j_max = n // primes[split] if len(large) else 0
-    for j in range(1, j_max + 1):
-        ps = large[: np.searchsorted(large, n // j, side="right")]
-        idx = j * ps
-        phi[idx] -= phi[idx] // ps
-    return phi
 
 
 def is_prime(n: int) -> bool:

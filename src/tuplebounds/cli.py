@@ -129,10 +129,11 @@ def _delta2(a: argparse.Namespace, lower: Fraction) -> dict:
 def _delta2_report(a: argparse.Namespace) -> tuple[list, dict, int]:
     k = a.k
     lower = polignac.delta2_lower(k)
+    # Rendered before the scan, so a value past the digit limit refuses at once.
+    results = [_delta2(a, lower)]
     bounds = polignac.eta_bounds(k - 1)
     cong = plausible.delta_upper_congruence(2, k)
     cpb = plausible.counting_power_bound(2, k)
-    results = [_delta2(a, lower)]
     if bounds.best_upper is not None:
         y_best, val = bounds.best_upper
         formula = f"min over y of mertens_product(y) / ({k - 1} - y)"
@@ -186,9 +187,10 @@ def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
         val = polignac.eta_upper(a.ell, a.y)
         formula = f"mertens_product({a.y}) / ({a.ell} - {a.y})"
         return [_bound(a, "eta_upper", val, formula, ell=a.ell, y=a.y)]
-    bounds = polignac.eta_bounds(a.ell)
     formula = f"mertens_product({a.ell + 1}) / {a.ell}"
-    results = [_bound(a, "eta_lower", bounds.lower, formula, ell=a.ell)]
+    # Rendered before the scan, so a value past the digit limit refuses at once.
+    results = [_bound(a, "eta_lower", polignac.eta_lower(a.ell), formula, ell=a.ell)]
+    bounds = polignac.eta_bounds(a.ell)
     if bounds.best_upper is not None:
         y_best, val = bounds.best_upper
         results.append(_bound(a, "best_eta_upper", val, y=y_best))

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, exp, log
-
-import numpy as np
+from itertools import islice
+from math import ceil, comb, exp, inf, isfinite, isqrt, log
 
 from . import arith
 from .errors import DomainError, RegressionFailure, ResourceLimitError
 from .tuples import IntTuple, is_admissible
 
-SEARCH_BUDGET = 10**7
 # Mertens-type constant used as the default scale of the congruence
 # display shape; callers may pass any value.
 DEFAULT_C_LOWER = exp(-arith.GAMMA)
@@ -30,72 +28,75 @@ DEFAULT_C_LOWER = exp(-arith.GAMMA)
 DEFAULT_C = 3.82
 
 
-# Constant in the Rosser-Schoenfeld bound n/phi(n) < f(n) used by _q_cutoff;
-# 2.51 exceeds the 2.50637 that their exceptional n = 223092870 needs.
-_RS_CONSTANT = 2.51
-# Slack on the float comparison in _q_cutoff, in log units; the float64
-# error of these logs stays near 1e-12 even for 1000-digit n.
-_RS_SLACK = 1e-9
-
-
-def _rs_log_ratio(n: int) -> float:
-    """log(n / f(n)) with f(n) = e^gamma log log n + 2.51/log log n, for n >= 3.
-
-    Taken in logs so that integers beyond float range are handled.
-    """
-    L = log(log(n))
-    return log(n) - log(exp(arith.GAMMA) * L + _RS_CONSTANT / L)
-
-
-def _q_cutoff(m: int, k: int) -> int:
-    """Search range [1, N] certain to hold every q with (m-1)*phi(q) < k.
-
-    Rosser & Schoenfeld, Illinois J. Math. 6 (1962), Theorem 15: for
-    n >= 3, n/phi(n) < e^gamma log log n + 5/(2 log log n), except for
-    n = 2*3*5*7*11*13*17*19*23 = 223092870, where 5/2 must be replaced
-    by 2.50637; with 2.50637 the bound holds for every n >= 3.  So with
-    f(n) = e^gamma log log n + 2.51/log log n, phi(n) > n/f(n) for every
-    n >= 3.
-
-    (m-1)*phi(q) < k means phi(q) <= B = (k-1)//(m-1).  n/f(n) increases
-    for n >= 3 (f >= 2*sqrt(2.51 e^gamma) > 4 while n*f'(n) < e^gamma /
-    log n < 2), so once N/f(N) > B every q >= N has phi(q) > B.  N is
-    the smallest such N >= 3 found by bisection, up to a float slack,
-    capped by the elementary cutoff from phi(q) >= sqrt(q/2), which
-    forces q < 2*(k/(m-1))^2.  This is a search range, not a stated
-    bound: max_q_for still scans all of [1, N] exactly.
-    """
-    hi = 2 * k * k // ((m - 1) ** 2) + 1
-    target = log((k - 1) // (m - 1)) + _RS_SLACK
-    if _rs_log_ratio(hi) <= target:
-        return hi
-    lo = 3  # 3/f(3) < 1 <= B
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _rs_log_ratio(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def max_q_for(m: int, k: int) -> int:
-    """Largest q with (m-1)*phi(q) < k, by certified exhaustive search.
+    """Largest q with (m-1)*phi(q) < k, by exact search over factorizations.
 
-    Scans a totient sieve over [1, _q_cutoff(m, k)]; the cutoff's
-    docstring gives the Rosser-Schoenfeld certificate that no larger q
-    qualifies.
+    (m-1)*phi(q) < k means phi(q) <= B = (k-1)//(m-1).  The search walks
+    the primes P_0 = 2 < P_1 < ... of primes_up_to(S), S = isqrt(B) + 1,
+    depth first in ascending order, with exponents.  A node n settles
+    every prime below P_j; its completions are q = n*t with the primes of
+    t all >= P_j and phi(t) <= R = B // phi(n), as phi is multiplicative.
+
+    Leaf.  If p < p' are primes of t, phi(t) >= (p-1)(p'-1) >= p(p-1),
+    and so is phi(t) when p^2 divides t.  So if the least prime p of t
+    has p(p-1) > R, t = p with p <= R+1, and the best such t is the
+    largest prime in [P_j, R+1]: is_prime scans down from R+1 and stops
+    once n*p <= best, the best q so far.  Only primes with p(p-1) <= R
+    branch, as p^e with phi(p^e) <= R; p(p-1) <= B forces p <= S.
+
+    Prune.  Let every prime of t be >= P_i; the r-th least of those in
+    the sieve is then >= P_(i+r-1).  As p/(p-1) falls in p, t/phi(t) <=
+    num/den = prod P/(P-1) over consecutive P from P_i while den = prod
+    (P-1) <= R, since prod (p-1) over the primes of t is at most phi(t)
+    <= R.  Two primes of t past S would give phi(t) >= S(S+1) > B, so at
+    most one is, with p/(p-1) <= (S+1)/S: a factor the run takes when it
+    reaches the end of the sieve.  So q = n*phi(t)*t/phi(t) <= n*R*num/den,
+    and once n*R*num <= best*den no completion whose primes are all
+    >= P_i beats best, and the walk over i stops.
+
+    All of it is integer arithmetic.  is_prime reads the same sieve,
+    which decides every leaf candidate up to B+1; past the sieve cap,
+    primes_up_to(S) raises ResourceLimitError at once.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     if k < m:
         raise DomainError(f"k must be >= m, got k={k}, m={m}")
-    cutoff = _q_cutoff(m, k)
-    if cutoff > SEARCH_BUDGET:
-        raise ResourceLimitError(f"q-search cutoff {cutoff} exceeds budget {SEARCH_BUDGET}")
-    phi = arith.totients_up_to(cutoff)
-    # phi[q] = phi(q), and phi(1) = 1 <= (k-1)//(m-1), so the last hit is a q >= 1.
-    return int(np.flatnonzero(phi <= (k - 1) // (m - 1))[-1])
+    B = (k - 1) // (m - 1)
+    S = isqrt(B) + 1
+    primes = arith.primes_up_to(S)
+    best = 1
+
+    def ratio_bound(i: int, R: int) -> tuple[int, int]:
+        num = den = 1
+        for p in islice(primes, i, None):
+            if den * (p - 1) > R:
+                return num, den
+            num, den = num * p, den * (p - 1)
+        return num * (S + 1), den * S
+
+    def visit(n: int, phi: int, j: int) -> None:
+        nonlocal best
+        R = B // phi
+        best = max(best, n)
+        for c in range(R + 1, max(best // n, primes[j - 1] if j else 1), -1):
+            if arith.is_prime(c):
+                best = n * c
+                break
+        for i in range(j, len(primes)):
+            p = primes[i]
+            if p * (p - 1) > R:
+                return
+            num, den = ratio_bound(i, R)
+            if n * R * num <= best * den:
+                return
+            pe, phi_pe = p, p - 1
+            while phi_pe <= R:
+                visit(n * pe, phi * phi_pe, i + 1)
+                pe, phi_pe = pe * p, phi_pe * p
+
+    visit(1, 1, 0)
+    return best
 
 
 @dataclass(frozen=True)
@@ -233,10 +234,10 @@ class DeltaChainReport:
 def delta_m_chain(m: int, c: float = DEFAULT_C) -> DeltaChainReport:
     """Chain k_m = ceil(e^(c*m)) (k_2 pinned to 50) into the q-search.
 
-    The q-search is certified only when its cutoff fits the budget.  At
-    the default c the Rosser-Schoenfeld cutoff fits for m <= 4 (about
-    2.6e5 at m = 3 and 8.6e6 at m = 4); from m = 5 on it does not, and
-    the report falls back to formula values with the reason recorded.
+    At the default c the q-search is certified for m <= 8; from m = 9 on
+    its sieve passes the cap, and the report falls back to formula values
+    with the refusal as its reason.  A -c*m^2 past float range raises
+    ResourceLimitError.
 
     At the default c, a congruence upper bound below the e^(-c m^2)
     scale contradicts the lower bound and raises RegressionFailure.  Any
@@ -247,6 +248,12 @@ def delta_m_chain(m: int, c: float = DEFAULT_C) -> DeltaChainReport:
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
+    try:
+        t = -c * m * m
+    except OverflowError:  # m itself is past float range
+        t = inf
+    if not isfinite(t):
+        raise ResourceLimitError(f"-c*m^2 at c={c}, m={m} exceeds float range")
     if m == 2:
         k_m: int | None = 50
     elif c * m < 700:
@@ -260,18 +267,16 @@ def delta_m_chain(m: int, c: float = DEFAULT_C) -> DeltaChainReport:
     reason = None
     if k_m is None:
         reason = f"k_m = ceil(e^({c}*{m})) overflows evaluation"
-    elif (cutoff := _q_cutoff(m, k_m)) > SEARCH_BUDGET:
-        reason = (
-            f"q-search cutoff {cutoff} for k_m={k_m} exceeds "
-            f"budget {SEARCH_BUDGET}; formula values only"
-        )
     else:
-        congruence = delta_upper_congruence(m, k_m)
+        try:
+            congruence = delta_upper_congruence(m, k_m)
+        except ResourceLimitError as exc:
+            reason = f"{exc}; formula values only"
 
-    lower_decimal = arith.exp_to_decimal(-c * m * m)
+    lower_decimal = arith.exp_to_decimal(t)
     ordering_ok = None
     if congruence is not None:
-        ordering_ok = float(congruence.density) >= exp(-c * m * m)
+        ordering_ok = float(congruence.density) >= exp(t)
         if not ordering_ok and c == DEFAULT_C:
             raise RegressionFailure(
                 f"congruence upper 1/{congruence.q}^{m - 1} fell below "

@@ -2,9 +2,10 @@
 
 import random
 import sys
+from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
-from math import exp, gcd, log
+from math import exp, gcd, isqrt, log
 
 import numpy as np
 import pytest
@@ -85,13 +86,43 @@ def test_totient_multiplicative():
             assert arith.totient(a * b) == arith.totient(a) * arith.totient(b)
 
 
+def totients_up_to(n: int) -> np.ndarray:
+    """``phi(i)`` for every ``i`` in ``[0, n]`` as an ``int32`` array (``phi(0) = 0``).
+
+    The numpy sieve behind the former q-search, kept as an oracle for
+    ``plausible.max_q_for`` (see ``test_plausible``).  Sieves over the
+    primes of ``arith.primes_up_to``, so ``n`` is capped by
+    ``MAX_SIEVE_LIMIT``; ``phi(i) <= i`` keeps every value in ``int32``.
+    Each prime ``p`` takes ``phi(i) // p`` off every multiple ``i``; the
+    quotient is exact whichever order the primes of ``i`` come in.
+
+    Primes up to ``isqrt(n)`` update their multiples one slice each.  The
+    larger primes go in batches by cofactor: for each ``j``, every such
+    ``p <= n // j`` updates index ``j * p`` at once.  No index has two
+    prime factors above ``isqrt(n)``, so no update repeats an index.
+    """
+    primes = arith.primes_up_to(n)
+    phi = np.arange(n + 1, dtype=np.int32)
+    split = bisect_right(primes, isqrt(n))
+    for p in primes[:split]:
+        multiples = phi[p::p]
+        multiples -= multiples // p
+    large = np.array(primes[split:], dtype=np.int64)
+    j_max = n // primes[split] if len(large) else 0
+    for j in range(1, j_max + 1):
+        ps = large[: np.searchsorted(large, n // j, side="right")]
+        idx = j * ps
+        phi[idx] -= phi[idx] // ps
+    return phi
+
+
 def test_totients_up_to_matches_trial_division():
-    phi = arith.totients_up_to(5_000)
+    phi = totients_up_to(5_000)
     assert phi.dtype == np.int32
     assert phi.tolist() == [0] + [arith.totient(n) for n in range(1, 5_001)]
-    assert arith.totients_up_to(0).tolist() == [0]
-    assert arith.totients_up_to(1).tolist() == [0, 1]
-    assert arith.totients_up_to(2).tolist() == [0, 1, 1]
+    assert totients_up_to(0).tolist() == [0]
+    assert totients_up_to(1).tolist() == [0, 1]
+    assert totients_up_to(2).tolist() == [0, 1, 1]
 
 
 def _totients_per_prime(n):
@@ -105,16 +136,16 @@ def _totients_per_prime(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1_000, 97**2, 10**5])
 def test_totients_up_to_matches_per_prime_sieve(n):
-    phi = arith.totients_up_to(n)
+    phi = totients_up_to(n)
     assert phi.dtype == np.int32
     assert np.array_equal(phi, _totients_per_prime(n))
 
 
 def test_totients_up_to_domain_and_cap():
     with pytest.raises(DomainError):
-        arith.totients_up_to(-1)
+        totients_up_to(-1)
     with pytest.raises(ResourceLimitError):
-        arith.totients_up_to(arith.MAX_SIEVE_LIMIT + 1)
+        totients_up_to(arith.MAX_SIEVE_LIMIT + 1)
 
 
 # Frozen renderings, checked against integer long division by hand.

@@ -44,14 +44,10 @@ def test_check_constants_passes(capsys):
 
 
 def test_check_constants_detects_injected_fault(capsys, monkeypatch):
-    orig = arith.totients_up_to
-
-    def faulty(n):
-        phi = orig(n)
-        phi[101:] += 2
-        return phi
-
-    monkeypatch.setattr(arith, "totients_up_to", faulty)
+    # A leaf primality check that misses the prime 7: q = 210 = 30 * 7 is
+    # reached only as the leaf of n = 30, so the q-search returns less.
+    orig = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: n != 7 and orig(n))
     code, env = run(capsys, "check-constants")
     assert code == 2
     assert env["passed"] is False
@@ -183,9 +179,11 @@ def test_plausible_upper(capsys):
 
 
 def test_plausible_upper_resource_limit(capsys):
-    code, env = run(capsys, "plausible-upper", "--m", "2", "--k", "2000000")
+    # B = 10^15 - 1 needs primes up to isqrt(B) + 1, past the sieve cap.
+    code, env = run(capsys, "plausible-upper", "--m", "2", "--k", str(10**15))
     assert code == 4
     assert env["error"]["kind"] == "resource-limit"
+    assert "exceeds cap" in env["error"]["message"]
 
 
 def test_lll_check(capsys):
@@ -221,8 +219,13 @@ def test_delta_chain_feasible_and_not(capsys):
     code, env = run(capsys, "delta-chain", "--m", "5")
     assert code == 0
     r = result_named(env, "delta_m_chain")
+    assert r["feasible"] is True and r["q"] == 281801520 and r["ordering_ok"] is True
+
+    code, env = run(capsys, "delta-chain", "--m", "9")
+    assert code == 0
+    r = result_named(env, "delta_m_chain")
     assert r["feasible"] is False
-    assert "budget" in r["reason"]
+    assert "exceeds cap" in r["reason"]
 
 
 # The two ordering checks must survive python -O, so they raise
@@ -325,6 +328,9 @@ _HUGE_MULT = str(10**4299)  # 4300 digits: parses, but times primorial(k >= 5) d
         # v*M = 9999 * primorial(10000) does not print; the build would take a minute.
         ["construct", "--ell", "10000", "--y", "1"],
         ["pintz", "--ell", "10000", "--y", "1", "--k2", "5"],
+        # The first result's value does not print; the scan over y would take 40 s.
+        ["eta", "--ell", "60000"],
+        ["delta2-report", "--k", "60000"],
     ],
 )
 def test_raw_ints_past_digit_limit_are_refused_at_once(capsys, argv):
@@ -358,6 +364,9 @@ def test_construction_fields_past_digit_limit_are_refused(capsys):
         ["asymptotic-template", "--m", "400", "--k", "1200", "--c-upper", "100"],
         ["asymptotic-template", "--m", "2", "--k", str(10**400)],
         ["asymptotic-template", "--m", "3", "--k", "50", "--c-lower", "1e300"],
+        ["delta-chain", "--m", "200", "--c", "1e308"],
+        ["delta-chain", "--m", "2", "--c", "1e308"],
+        ["delta-chain", "--m", str(10**400)],  # m itself does not fit a float
     ],
 )
 def test_float_overflow_is_resource_limit(capsys, argv):

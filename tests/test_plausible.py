@@ -6,10 +6,78 @@ from math import ceil, exp, log
 import numpy as np
 import pytest
 
+from test_arith import totients_up_to
 from tuplebounds import plausible
-from tuplebounds.arith import GAMMA, primes_up_to, to_decimal, totient, totients_up_to
+from tuplebounds.arith import GAMMA, primes_up_to, to_decimal, totient
 from tuplebounds.errors import DomainError, RegressionFailure, ResourceLimitError
 from tuplebounds.tuples import IntTuple, first_k_admissible
+
+# The q-search this package ran before its branch-and-bound search: a
+# totient sieve scanned up to a Rosser-Schoenfeld cutoff.  Kept here,
+# with its certificate tests, as the oracle for plausible.max_q_for.
+
+# Constant in the Rosser-Schoenfeld bound n/phi(n) < f(n) used by _q_cutoff;
+# 2.51 exceeds the 2.50637 that their exceptional n = 223092870 needs.
+_RS_CONSTANT = 2.51
+# Slack on the float comparison in _q_cutoff, in log units; the float64
+# error of these logs stays near 1e-12 even for 1000-digit n.
+_RS_SLACK = 1e-9
+
+
+def _rs_log_ratio(n: int) -> float:
+    """log(n / f(n)) with f(n) = e^gamma log log n + 2.51/log log n, for n >= 3.
+
+    Taken in logs so that integers beyond float range are handled.
+    """
+    L = log(log(n))
+    return log(n) - log(exp(GAMMA) * L + _RS_CONSTANT / L)
+
+
+def _q_cutoff(m: int, k: int) -> int:
+    """Search range [1, N] certain to hold every q with (m-1)*phi(q) < k.
+
+    Rosser & Schoenfeld, Illinois J. Math. 6 (1962), Theorem 15: for
+    n >= 3, n/phi(n) < e^gamma log log n + 5/(2 log log n), except for
+    n = 2*3*5*7*11*13*17*19*23 = 223092870, where 5/2 must be replaced
+    by 2.50637; with 2.50637 the bound holds for every n >= 3.  So with
+    f(n) = e^gamma log log n + 2.51/log log n, phi(n) > n/f(n) for every
+    n >= 3.
+
+    (m-1)*phi(q) < k means phi(q) <= B = (k-1)//(m-1).  n/f(n) increases
+    for n >= 3 (f >= 2*sqrt(2.51 e^gamma) > 4 while n*f'(n) < e^gamma /
+    log n < 2), so once N/f(N) > B every q >= N has phi(q) > B.  N is
+    the smallest such N >= 3 found by bisection, up to a float slack,
+    capped by the elementary cutoff from phi(q) >= sqrt(q/2), which
+    forces q < 2*(k/(m-1))^2.  This is a search range, not a stated
+    bound: the oracle still scans all of [1, N] exactly.
+    """
+    hi = 2 * k * k // ((m - 1) ** 2) + 1
+    target = log((k - 1) // (m - 1)) + _RS_SLACK
+    if _rs_log_ratio(hi) <= target:
+        return hi
+    lo = 3  # 3/f(3) < 1 <= B
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rs_log_ratio(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _max_q_sieve(m: int, k: int, phi: np.ndarray | None = None) -> int:
+    """The sieve search: the last q <= _q_cutoff(m, k) with phi(q) <= (k-1)//(m-1).
+
+    ``phi`` may be a longer precomputed table; only its first cutoff + 1
+    entries are read.
+    """
+    cutoff = _q_cutoff(m, k)
+    if phi is None:
+        phi = totients_up_to(cutoff)
+    assert cutoff < len(phi)
+    phi = phi[: cutoff + 1]
+    # phi[q] = phi(q), and phi(1) = 1 <= (k-1)//(m-1), so the last hit is a q >= 1.
+    return int(np.flatnonzero(phi <= (k - 1) // (m - 1))[-1])
 
 
 def test_max_q_known_values():
@@ -50,23 +118,35 @@ def _max_q_old_search(m, k, phi):
 def test_max_q_matches_old_search(trial_division_phi):
     for m in range(2, 6):
         for k in range(m, ORACLE_K_MAX + 1):
-            assert plausible._q_cutoff(m, k) <= 2 * k * k // ((m - 1) ** 2) + 1
+            assert _q_cutoff(m, k) <= 2 * k * k // ((m - 1) ** 2) + 1
             got = plausible.max_q_for(m, k)
             assert got == _max_q_old_search(m, k, trial_division_phi), (m, k)
+
+
+def test_max_q_matches_sieve_oracle():
+    phi = totients_up_to(_q_cutoff(2, 1500))
+    for m in range(2, 6):
+        for k in range(m, 1501):
+            assert plausible.max_q_for(m, k) == _max_q_sieve(m, k, phi), (m, k)
+
+
+@pytest.mark.parametrize("m,k", [(2, 10**6), (3, 94846), (4, 4325335)])
+def test_max_q_matches_sieve_oracle_large(m, k):
+    assert plausible.max_q_for(m, k) == _max_q_sieve(m, k)
 
 
 @pytest.mark.parametrize("m,k", [(2, 50), (2, 1_000), (2, 5_000), (3, 2_000), (5, 4_000)])
 def test_max_q_boundary_up_to_cutoff(m, k):
     best = plausible.max_q_for(m, k)
     assert (m - 1) * totient(best) < k
-    for q in range(best + 1, plausible._q_cutoff(m, k) + 1):
+    for q in range(best + 1, _q_cutoff(m, k) + 1):
         assert (m - 1) * totient(q) >= k
 
 
 def test_rosser_schoenfeld_bound_and_its_exception():
     # n/phi(n) < f(n), the certificate behind _q_cutoff, at every small n.
     phi = totients_up_to(100_000)
-    assert all(plausible._rs_log_ratio(n) < log(phi[n]) for n in range(3, 100_001))
+    assert all(_rs_log_ratio(n) < log(phi[n]) for n in range(3, 100_001))
     # Primorials maximise n/phi(n) among integers up to their size.  The
     # constant each needs in place of 5/2 exceeds 5/2 only at 23#.
     needed = {}
@@ -77,7 +157,7 @@ def test_rosser_schoenfeld_bound_and_its_exception():
             L = log(log(n))
             needed[n] = (ratio - exp(GAMMA) * L) * L
     assert [n for n, c in needed.items() if c > 2.5] == [223092870]
-    assert needed[223092870] < 2.50637 < plausible._RS_CONSTANT
+    assert needed[223092870] < 2.50637 < _RS_CONSTANT
 
 
 def test_max_q_domain_and_budget():
@@ -85,8 +165,10 @@ def test_max_q_domain_and_budget():
         plausible.max_q_for(1, 10)
     with pytest.raises(DomainError):
         plausible.max_q_for(3, 2)
+    # The search's only bound is the sieve cap on isqrt(B) + 1.
+    assert plausible.max_q_for(2, 2_000_000) == 10840830
     with pytest.raises(ResourceLimitError):
-        plausible.max_q_for(2, 2_000_000)
+        plausible.max_q_for(2, 10**15)
 
 
 def test_congruence_upper_bound_values():
@@ -215,13 +297,15 @@ def test_delta_chain_m3_feasible():
     assert rep.ordering_ok is True
 
 
-def test_delta_chain_m5_hits_budget():
-    rep = plausible.delta_m_chain(5)
-    assert rep.k_m == ceil(exp(3.82 * 5))
-    assert not rep.feasible
-    assert rep.congruence is None
-    assert "exceeds" in rep.reason and "budget" in rep.reason
-    assert rep.ordering_ok is None
+@pytest.mark.parametrize(
+    "m,q", [(5, 281801520), (6, 11125544430), (7, 437485118070), (8, 17545584946890)]
+)
+def test_delta_chain_certified_through_m8(m, q):
+    rep = plausible.delta_m_chain(m)
+    assert rep.k_m == ceil(exp(3.82 * m))
+    assert rep.feasible and rep.reason is None
+    assert rep.congruence is not None and rep.congruence.q == q
+    assert rep.ordering_ok is True
 
 
 def test_delta_chain_huge_m_reports_scale_only():
