@@ -49,12 +49,8 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if flags[i]]
 
 
-def primes_up_to(n: int) -> tuple[int, ...]:
-    """All primes in the interval ``[2, n]``, ascending.
-
-    The underlying sieve is cached module-wide and grown geometrically,
-    so repeated calls with increasing bounds stay cheap.
-    """
+def _sieve_through(n: int) -> tuple[int, ...]:
+    """The whole cached sieve, grown first to cover ``[2, n]``."""
     global _cached_limit, _cached_primes
     if n < 0:
         raise DomainError(f"sieve bound must be nonnegative, got {n}")
@@ -64,7 +60,17 @@ def primes_up_to(n: int) -> tuple[int, ...]:
         target = min(max(n, 2 * _cached_limit, 1024), MAX_SIEVE_LIMIT)
         _cached_primes = tuple(_sieve(target))
         _cached_limit = target
-    return _cached_primes[: bisect_right(_cached_primes, n)]
+    return _cached_primes
+
+
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """All primes in the interval ``[2, n]``, ascending.
+
+    The underlying sieve is cached module-wide and grown geometrically,
+    so repeated calls with increasing bounds stay cheap.
+    """
+    primes = _sieve_through(n)
+    return primes[: bisect_right(primes, n)]
 
 
 def primorial(n: int) -> int:
@@ -97,7 +103,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
         raise DomainError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
     rest = n
-    for p in primes_up_to(isqrt(n)):
+    # rest <= n, so this break also ends the walk past isqrt(n).
+    for p in _sieve_through(isqrt(n)):
         if p * p > rest:
             break
         if rest % p == 0:
@@ -127,7 +134,10 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in primes_up_to(isqrt(n)):
+    r = isqrt(n)
+    for p in _sieve_through(r):
+        if p > r:
+            break
         if n % p == 0:
             return n == p
     return True

@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -53,6 +53,33 @@ def _bound(a: argparse.Namespace, name: str, value: Fraction, formula: str = "",
     return BoundReport(name, value, a.sig_digits, formula, detail).to_json()
 
 
+def _json(a: argparse.Namespace, value: object) -> object:
+    """``value`` rendered for an envelope, recursively.
+
+    A ``Fraction`` becomes :func:`rational_to_json` at ``a.sig_digits``,
+    a dataclass its fields in order, a dict the same dict with ``str``
+    keys, a tuple or list a list, and a plain int is refused past the
+    int->str digit limit; anything else (a bool, None, a float, a str)
+    passes through unchanged.
+    """
+    if isinstance(value, Fraction):
+        return rational_to_json(value, a.sig_digits)
+    if is_dataclass(value):
+        return _json(a, vars(value))
+    if isinstance(value, dict):
+        return {str(k): _json(a, v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(a, v) for v in value]
+    if type(value) is int:
+        return check_str_digits(value)
+    return value
+
+
+def _record(a: argparse.Namespace, name: str, **fields) -> dict:
+    """A named result record with its fields rendered by :func:`_json`."""
+    return {"name": name, **_json(a, fields)}
+
+
 def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
     """One-shot regression run over the four pinned reference constants.
 
@@ -63,18 +90,19 @@ def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
     the congruence upper bound is exactly 1/210, below 0.0048.  The
     envelope carries a "passed" flag plus per-check detail.
     """
-    sig_digits = a.sig_digits
     eta49 = polignac.eta_lower(49)
     rendered = to_decimal(eta49, 10)
     upper = polignac.eta_upper(49, 13)
     upper_rendered = to_decimal(upper, 10)
-    q = plausible.max_q_for(2, 50)
+    upper_ok = upper == Fraction(16, 3003)
+    rendering_ok = upper_rendered == "0.005328005328"
+    below = upper < Fraction(1, 187)
     cong = plausible.delta_upper_congruence(2, 50)
 
-    checks = [
+    checks = _json(a, [
         {
             "name": "eta_lower_49",
-            "value": rational_to_json(eta49, sig_digits),
+            "value": eta49,
             "rendered_10sf": rendered,
             "expected_10sf": ETA49_CORRECTED_DECIMAL,
             "reference_decimal": ETA49_REFERENCE_DECIMAL,
@@ -84,31 +112,27 @@ def _constant_checks(a: argparse.Namespace) -> tuple[list, dict, int]:
         },
         {
             "name": "eta_upper_49_13",
-            "value": rational_to_json(upper, sig_digits),
-            "value_ok": upper == Fraction(16, 3003),
+            "value": upper,
+            "value_ok": upper_ok,
             "rendered_10sf": upper_rendered,
-            "rendering_ok": upper_rendered == "0.005328005328",
-            "below_1_187": upper < Fraction(1, 187),
-            "ok": (
-                upper == Fraction(16, 3003)
-                and upper_rendered == "0.005328005328"
-                and upper < Fraction(1, 187)
-            ),
+            "rendering_ok": rendering_ok,
+            "below_1_187": below,
+            "ok": upper_ok and rendering_ok and below,
         },
         {
             "name": "max_q_2_50",
-            "value": q,
+            "value": cong.q,
             "expected": 210,
-            "ok": q == 210,
+            "ok": cong.q == 210,
         },
         {
             "name": "congruence_upper_2_50",
-            "value": rational_to_json(cong.density, sig_digits),
+            "value": cong.density,
             "value_ok": cong.density == Fraction(1, 210),
             "below_0_0048": cong.density < Fraction(48, 10_000),
             "ok": cong.density == Fraction(1, 210) and cong.density < Fraction(48, 10_000),
         },
-    ]
+    ])
     results = [
         _bound(a, "eta_lower_49", eta49, "mertens_product(50) / 49"),
         _bound(a, "eta_upper_49_13", upper, "mertens_product(13) / (49 - 13)"),
@@ -127,17 +151,16 @@ def _delta2(a: argparse.Namespace, lower: Fraction) -> dict:
 
 
 def _delta2_report(a: argparse.Namespace) -> tuple[list, dict, int]:
-    k = a.k
-    lower = polignac.delta2_lower(k)
+    lower = polignac.delta2_lower(a.k)
     # Rendered before the scan, so a value past the digit limit refuses at once.
     results = [_delta2(a, lower)]
-    bounds = polignac.eta_bounds(k - 1)
-    cong = plausible.delta_upper_congruence(2, k)
-    cpb = plausible.counting_power_bound(2, k)
+    bounds = polignac.eta_bounds(a.k - 1)
+    cong = plausible.delta_upper_congruence(2, a.k)
+    cpb = plausible.counting_power_bound(2, a.k)
     if bounds.best_upper is not None:
         y_best, val = bounds.best_upper
-        formula = f"min over y of mertens_product(y) / ({k - 1} - y)"
-        results.append(_bound(a, "best_eta_upper", val, formula, ell=k - 1, y=y_best))
+        formula = f"min over y of mertens_product(y) / ({a.k - 1} - y)"
+        results.append(_bound(a, "best_eta_upper", val, formula, ell=a.k - 1, y=y_best))
     results += [
         _bound(a, "congruence_upper", cong.density, "1 / q^(m-1) at the maximal q", m=2, q=cong.q),
         _bound(a, "counting_power_bound", cpb, "(phi(R) / (k R))^m at m = 2"),
@@ -146,40 +169,22 @@ def _delta2_report(a: argparse.Namespace) -> tuple[list, dict, int]:
     return results, {"lower_le_congruence_upper": lower <= cong.density}, 0
 
 
-def _attrs(obj: object, *names: str) -> dict:
-    """``{name: obj.name}`` for each name, in order."""
-    return {name: getattr(obj, name) for name in names}
-
-
 def _rho_adm(a: argparse.Namespace) -> tuple[list, dict, int]:
     if a.mode == "mc":
         # The exact reference first: past float range it refuses before any sampling.
         exact = float(density.rho_adm_exact(a.m).total)
         est = density.rho_adm_mc(a.m, a.range, a.samples, a.seed, a.shards)
-        result = {
-            "name": "rho_adm_mc",
-            **_attrs(est, "estimate", "std_error", "successes", "samples"),
-            "range_bound": a.range,
-            "exact_reference": exact,
-        }
+        result = _record(a, "rho_adm_mc", **vars(est), range_bound=a.range, exact_reference=exact)
         return [result], {"notes": [NOTE_MODEL]}, 0
     rep = density.rho_adm_exact(a.m)
     formula = "product over primes p <= m of the per-prime admissible density"
     result = _bound(a, "rho_adm", rep.total, formula)
-    result["per_prime"] = {
-        str(p): rational_to_json(v, a.sig_digits) for p, v in rep.per_prime.items()
-    }
+    result["per_prime"] = _json(a, rep.per_prime)
     if rep.asymptotic is not None:
         result["asymptotic"] = rep.asymptotic
         result["asymptotic_ratio"] = rep.asymptotic_ratio
     parameters = {"m": a.m, "mode": "exact", "sig_digits": a.sig_digits}
     return [result], {"parameters": parameters}, 0
-
-
-def _summand_ratio(a: argparse.Namespace) -> list:
-    rep = density.summand_ratio_check(a.m, a.p)
-    ratios = {str(j): rational_to_json(r, a.sig_digits) for j, r in rep.ratios}
-    return [{"name": "summand_ratios", "ratios": ratios, **_attrs(rep, "threshold", "all_above")}]
 
 
 def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
@@ -194,25 +199,14 @@ def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
     if bounds.best_upper is not None:
         y_best, val = bounds.best_upper
         results.append(_bound(a, "best_eta_upper", val, y=y_best))
-    upper_by_y = {
-        str(y): rational_to_json(v, a.sig_digits) for y, v in sorted(bounds.upper_by_y.items())
-    }
     parameters = {"ell": a.ell, "sig_digits": a.sig_digits}
-    return results, {"parameters": parameters, "upper_by_y": upper_by_y}, 0
+    return results, {"parameters": parameters, "upper_by_y": _json(a, bounds.upper_by_y)}, 0
 
 
-def _bundle_json(bundle: polignac.ConstructionBundle, sig_digits: int) -> dict:
-    fields = _attrs(bundle, "ell", "y", "v", "r", "M", "h", "q")
-    for n in (*fields.values(), *bundle.B1, *bundle.B2):
-        check_str_digits(n)
-    return {
-        "name": "construction",
-        **fields,
-        "B1": list(bundle.B1),
-        "B2": list(bundle.B2),
-        "elements": list(bundle.elements),
-        "A_density": rational_to_json(bundle.A_density, sig_digits),
-    }
+def _bundle_json(a: argparse.Namespace, bundle: polignac.ConstructionBundle) -> dict:
+    fields = vars(bundle).copy()
+    A_density = fields.pop("A_density")
+    return _record(a, "construction", **fields, elements=bundle.elements, A_density=A_density)
 
 
 def _build(a: argparse.Namespace) -> polignac.ConstructionBundle:
@@ -226,11 +220,11 @@ def _build(a: argparse.Namespace) -> polignac.ConstructionBundle:
 
 def _construct(a: argparse.Namespace) -> list | tuple[list, dict, int]:
     bundle = _build(a)
-    results = [_bundle_json(bundle, a.sig_digits)]
+    results = [_bundle_json(a, bundle)]
     if not a.verify:
         return results
     chk = polignac.verify_construction(bundle)
-    return results, {"verification": asdict(chk)}, 0 if chk.ok else 2
+    return results, {"verification": _json(a, chk)}, 0 if chk.ok else 2
 
 
 def _pintz(a: argparse.Namespace) -> list:
@@ -238,8 +232,8 @@ def _pintz(a: argparse.Namespace) -> list:
     constant = polignac.pintz_interval_constant(bundle, a.k2)
     decimal = to_decimal(Fraction(constant), a.sig_digits)
     return [
-        {"name": "pintz_interval_constant", "int": int_to_str(constant), "decimal": decimal},
-        _bundle_json(bundle, a.sig_digits),
+        _record(a, "pintz_interval_constant", int=int_to_str(constant), decimal=decimal),
+        _bundle_json(a, bundle),
     ]
 
 
@@ -249,27 +243,12 @@ def _plausible_upper(a: argparse.Namespace) -> list:
     return [_bound(a, "congruence_upper", cong.density, formula, m=a.m, k=a.k, q=cong.q)]
 
 
-def _lll_check(a: argparse.Namespace) -> list:
-    par = plausible.lll_parameters(a.m, a.k)
-    return [
-        {
-            "name": "lll_parameters",
-            **_attrs(par, "n_events", "dependency_degree"),
-            "event_prob_bound": rational_to_json(par.event_prob_bound, a.sig_digits),
-            "survival_exponent": rational_to_json(par.survival_exponent, a.sig_digits),
-            "exponent_within_target": par.exponent_within_target,
-        }
-    ]
-
-
 def _delta_chain(a: argparse.Namespace) -> list:
-    rep = plausible.delta_m_chain(a.m, a.c)
-    fields = ("k_m", "feasible", "reason", "lower_reference_decimal", "ordering_ok")
-    result = {"name": "delta_m_chain", "m": a.m, "c": a.c, **_attrs(rep, *fields)}
-    if rep.congruence is not None:
-        result["congruence_upper"] = rational_to_json(rep.congruence.density, a.sig_digits)
-        result["q"] = rep.congruence.q
-    return [result]
+    fields = vars(plausible.delta_m_chain(a.m, a.c)).copy()
+    cong = fields.pop("congruence")
+    if cong is not None:
+        fields.update(congruence_upper=cong.density, q=cong.q)
+    return [_record(a, "delta_m_chain", m=a.m, c=a.c, **fields)]
 
 
 def _summary(values: list[float]) -> dict:
@@ -298,61 +277,33 @@ def _mc_f_stats(a: argparse.Namespace) -> tuple[list, dict, int]:
             writer = csv.writer(fh)
             writer.writerow(["f", "X"])
             writer.writerows(zip(stats.f_values, stats.X_values))
-    results = [
-        {
-            "name": "f_statistics",
-            "x": x,
-            "f": _summary(stats.f_values),
-            "X": _summary(stats.X_values),
-            "zero_counts": {str(p): c for p, c in sorted(stats.zero_counts.items())},
-            "tails": {name: asdict(t) for name, t in stats.tail_estimates.items()},
-        }
-    ]
-    return results, {"csv_path": a.csv} if a.csv else {}, 0
+    result = _record(a, "f_statistics", x=x, f=_summary(stats.f_values),
+                     X=_summary(stats.X_values), zero_counts=stats.zero_counts,
+                     tails=stats.tail_estimates)
+    return [result], {"csv_path": a.csv} if a.csv else {}, 0
 
 
 def _translation_count(a: argparse.Namespace) -> list:
     h = _parse_tuple(a.tuple)
     x = _window_x(a)
     rep = stochastic.translation_class_count(h, x, a.k)
-    return [
-        {
-            "name": "translation_class_count",
-            "tuple": list(h.elements),
-            "x": x,
-            **_attrs(rep, "exact_count", "crt_predicted"),
-            "agree": rep.exact_count == rep.crt_predicted,
-            "density_bound": rational_to_json(rep.density_bound, a.sig_digits),
-        }
-    ]
+    agree = rep.exact_count == rep.crt_predicted
+    return [_record(a, "translation_class_count", tuple=h.elements, x=x,
+                    exact_count=rep.exact_count, crt_predicted=rep.crt_predicted, agree=agree,
+                    density_bound=rep.density_bound)]
 
 
 def _lll_survival(a: argparse.Namespace) -> list:
     x = _window_x(a)
     est = stochastic.lll_survival_experiment(a.m, a.k, x, a.trials, a.seed, a.q, a.shards)
-    return [
-        {
-            "name": "lll_survival",
-            "x": x,
-            "q": a.q,
-            "survivors": est.survivors,
-            "trials": a.trials,
-            **_attrs(est, "estimate", "std_error", "reference"),
-        }
-    ]
+    return [_record(a, "lll_survival", x=x, q=a.q, survivors=est.survivors, trials=a.trials,
+                    estimate=est.estimate, std_error=est.std_error, reference=est.reference)]
 
 
 def _admissible(a: argparse.Namespace) -> list:
     h = _parse_tuple(a.tuple)
-    profile = residue_profile(h, len(h.elements))
-    return [
-        {
-            "name": "admissible",
-            "tuple": list(h.elements),
-            "admissible": is_admissible(h),
-            "residue_counts": {str(p): n_p for p, n_p in sorted(profile.items())},
-        }
-    ]
+    return [_record(a, "admissible", tuple=h.elements, admissible=is_admissible(h),
+                    residue_counts=residue_profile(h, len(h)))]
 
 
 def _parse_tuple(text: str) -> IntTuple:
@@ -450,7 +401,9 @@ COMMANDS: dict[str, Command] = {
         _rho_adm,
     ),
     "summand-ratio": Command(
-        "consecutive-term ratios of the density sum at (m, p)", (_M, _P, _SIG), _summand_ratio
+        "consecutive-term ratios of the density sum at (m, p)",
+        (_M, _P, _SIG),
+        lambda a: [_record(a, "summand_ratios", **vars(density.summand_ratio_check(a.m, a.p)))],
     ),
     "eta": Command(
         "pair-density bounds at a given ell",
@@ -478,7 +431,9 @@ COMMANDS: dict[str, Command] = {
         "congruence-family upper bound 1/q^(m-1)", (_M, _K, _SIG), _plausible_upper
     ),
     "lll-check": Command(
-        "local-lemma parameter identities at (m, k)", (_M, _K, _SIG), _lll_check
+        "local-lemma parameter identities at (m, k)",
+        (_M, _K, _SIG),
+        lambda a: [_record(a, "lll_parameters", **vars(plausible.lll_parameters(a.m, a.k)))],
     ),
     "counting-bound": Command(
         "counting bound (phi(R)/(kR))^m",
@@ -499,15 +454,9 @@ COMMANDS: dict[str, Command] = {
         (_M, _K, _flag("--c-upper", _finite_float, default=1.0),
          _flag("--c-lower", _finite_float, default=plausible.DEFAULT_C_LOWER)),
         lambda a: [
-            {
-                "name": "asymptotic_template",
-                **_attrs(
-                    plausible.asymptotic_template(a.m, a.k, a.c_upper, a.c_lower),
-                    "general_shape", "congruence_shape",
-                ),
-                "c_upper": a.c_upper,
-                "c_lower": a.c_lower,
-            }
+            _record(a, "asymptotic_template",
+                    **vars(plausible.asymptotic_template(a.m, a.k, a.c_upper, a.c_lower)),
+                    c_upper=a.c_upper, c_lower=a.c_lower)
         ],
         (NOTE_TEMPLATES,),
     ),
@@ -523,13 +472,8 @@ COMMANDS: dict[str, Command] = {
         "exact moment product and tail bound",
         (_M, _K, _flag("--r", _finite_float), _flag("--s", _finite_float)),
         lambda a: [
-            {
-                "name": "chernoff_tail_bound",
-                **_attrs(
-                    stochastic.chernoff_tail_bound(a.m, a.k, a.r, a.s),
-                    "moment_product", "tail_bound",
-                ),
-            }
+            _record(a, "chernoff_tail_bound",
+                    **vars(stochastic.chernoff_tail_bound(a.m, a.k, a.r, a.s)))
         ],
     ),
     "birthday": Command(
@@ -561,7 +505,7 @@ COMMANDS: dict[str, Command] = {
         "lexicographically first admissible k-tuple",
         (_K,),
         lambda a: [
-            {"name": "first_k_admissible", "k": a.k, "elements": list(first_k_admissible(a.k))}
+            _record(a, "first_k_admissible", k=a.k, elements=first_k_admissible(a.k).elements)
         ],
     ),
 }

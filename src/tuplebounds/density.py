@@ -117,10 +117,10 @@ def rho_adm_exact(m: int) -> AdmissibleDensityReport:
 
 @dataclass(frozen=True)
 class McDensityEstimate:
-    samples: int
-    successes: int
     estimate: float
     std_error: float
+    successes: int
+    samples: int
 
 
 def rho_adm_mc(
@@ -159,7 +159,7 @@ def rho_adm_mc(
 class SummandRatioReport:
     """Consecutive-term ratios of the alternating sum at (m, p)."""
 
-    ratios: list[tuple[int, Fraction]]
+    ratios: dict[int, Fraction]
     threshold: float
     all_above: bool
 
@@ -178,11 +178,11 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
     if p > m / log(m):
         raise DomainError(f"p={p} is above m/log m = {m / log(m):.3f}")
     j_max = min(m - 1, p - 1)
-    ratios: list[tuple[int, Fraction]] = []
+    ratios: dict[int, Fraction] = {}
     for j in range(1, j_max):
         num = comb(p, j) * (p - j) ** m
         den = comb(p, j + 1) * (p - j - 1) ** m
-        ratios.append((j, Fraction(num, den)))
+        ratios[j] = Fraction(num, den)
     threshold = 2.0 * log(m)
-    all_above = all(r >= threshold for _, r in ratios)
+    all_above = all(r >= threshold for r in ratios.values())
     return SummandRatioReport(ratios=ratios, threshold=threshold, all_above=all_above)

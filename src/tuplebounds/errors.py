@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""The error classes shared across the package.
 
 Two broad failure families matter to callers: a request that is
 mathematically malformed (DomainError) and a request that is well formed
@@ -9,17 +9,13 @@ maps each class to its own exit code.
 from __future__ import annotations
 
 
-class TupleBoundsError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class DomainError(TupleBoundsError):
+class DomainError(Exception):
     """Parameters violate a mathematical precondition."""
 
 
-class ResourceLimitError(TupleBoundsError):
+class ResourceLimitError(Exception):
     """The computation would exceed a configured size or time budget."""
 
 
-class RegressionFailure(TupleBoundsError):
+class RegressionFailure(Exception):
     """A frozen reference value no longer matches what the code computes."""

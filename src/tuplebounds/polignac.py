@@ -54,18 +54,21 @@ class EtaBounds:
 def eta_bounds(ell: int) -> EtaBounds:
     """Lower bound plus the upper bound at every valid y, best marked.
 
-    Keeps a running Mertens product over y, so the scan costs one
-    Fraction division per y.  A best upper bound below the lower bound
-    raises RegressionFailure.
+    Keeps a running Mertens product over y, on to ell+1 for the lower
+    bound, so the scan costs one Fraction division per y.  A best upper
+    bound below the lower bound raises RegressionFailure.
     """
-    lower = eta_lower(ell)
-    prime_set = set(arith.primes_up_to(ell))
+    if ell < 1:
+        raise DomainError(f"ell must be >= 1, got {ell}")
+    prime_set = set(arith.primes_up_to(ell + 1))
     prod = Fraction(1)
     upper_by_y: dict[int, Fraction] = {}
-    for y in range(1, ell):
+    for y in range(1, ell + 2):
         if y in prime_set:
             prod *= Fraction(y - 1, y)
-        upper_by_y[y] = prod / (ell - y)
+        if y < ell:
+            upper_by_y[y] = prod / (ell - y)
+    lower = prod / ell
     best = min(upper_by_y.items(), key=lambda item: item[1]) if upper_by_y else None
     if best is not None and lower > best[1]:
         raise RegressionFailure(

@@ -71,6 +71,27 @@ def test_factorize():
         arith.factorize(0)
 
 
+# P = 9999991 is the largest prime below the sieve cap 10**7, so P**2 is the
+# largest prime square the trial division can decide; its only prime factor
+# is isqrt(P**2) itself.
+_P = 9999991
+_BOUNDARY_FACTORIZATIONS = {
+    _P**2 - 1: [(2, 4), (3, 3), (5, 1), (7, 1), (11, 1), (13, 1), (37, 1), (1249999, 1)],
+    _P**2: [(_P, 2)],
+    _P**2 + 1: [(2, 1), (17, 1), (41, 1), (16253, 1), (4413701, 1)],
+    10**13 + 2: [(2, 1), (3, 1), (2221, 1), (2287, 1), (328121, 1)],
+}
+
+
+@pytest.mark.parametrize("n", list(_BOUNDARY_FACTORIZATIONS))
+def test_trial_division_at_the_sieve_boundary(n):
+    # Both walks stop at isqrt(n) in the cached sieve; stopping one prime
+    # early misses the factor of P**2.
+    assert arith.is_prime(_P)
+    assert not arith.is_prime(n)
+    assert arith.factorize(n) == _BOUNDARY_FACTORIZATIONS[n]
+
+
 def test_totient_against_gcd_count():
     for q in range(1, 201):
         direct = sum(1 for a in range(1, q + 1) if gcd(a, q) == 1)

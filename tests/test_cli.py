@@ -1,15 +1,17 @@
 """End-to-end CLI checks: JSON envelopes, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
 from tuplebounds import arith, cli, density, plausible, polignac, tuples
+from tuplebounds.errors import ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -122,6 +124,17 @@ def test_eta_domain_error(capsys):
     assert env["error"]["type"] == "DomainError"
 
 
+def test_eta_computes_the_mertens_product_once(capsys, monkeypatch):
+    # The lower bound rendered first is the only Mertens product; the scan
+    # carries its own running product on to ell+1.
+    calls = []
+    orig = arith.mertens_product
+    monkeypatch.setattr(arith, "mertens_product", lambda n: calls.append(n) or orig(n))
+    code, env = run(capsys, "eta", "--ell", "49")
+    assert code == 0
+    assert calls == [50]
+
+
 def test_delta2_lower_command(capsys):
     code, env = run(capsys, "delta2-lower", "--k", "50", "--sig-digits", "10")
     assert code == 0
@@ -231,8 +244,9 @@ def test_delta_chain_feasible_and_not(capsys):
 # The two ordering checks must survive python -O, so they raise
 # RegressionFailure instead of asserting; each fault below breaks one.
 def test_eta_ordering_fault_exits_2(capsys, monkeypatch):
-    orig = polignac.eta_lower
-    monkeypatch.setattr(polignac, "eta_lower", lambda ell: orig(ell) + 1)
+    # Each Mertens factor (p-1)/p of the scan inverted to p/(p-1): the running
+    # product then grows, and its lower bound passes the upper bound at y = 1.
+    monkeypatch.setattr(polignac, "Fraction", lambda num, den=1: Fraction(den, num))
     code, env = run(capsys, "eta", "--ell", "10")
     assert code == 2
     assert env["error"]["kind"] == "regression-failure"
@@ -485,3 +499,42 @@ def test_every_envelope_carries_version_and_command(capsys):
         assert code == 0
         assert env["version"] == "0.1.0"
         assert env["command"] == argv[0]
+
+
+@dataclass(frozen=True)
+class _Inner:
+    z: Fraction
+    a: tuple
+
+
+@dataclass(frozen=True)
+class _Outer:
+    y: int
+    x: _Inner
+
+
+def test_json_renders_values_recursively():
+    a = argparse.Namespace(sig_digits=3)
+    for value in (True, False, None, 0.25, "text"):
+        assert cli._json(a, value) is value
+    rendered = cli._json(a, _Outer(7, _Inner(Fraction(1, 3), (1, 2))))
+    assert list(rendered) == ["y", "x"]
+    assert list(rendered["x"]) == ["z", "a"]
+    assert rendered["x"]["z"] == {"num": "1", "den": "3", "decimal": "0.333"}
+    assert rendered["x"]["a"] == [1, 2]
+    assert cli._json(a, {2: (3, Fraction(1, 2))}) == {
+        "2": [3, {"num": "1", "den": "2", "decimal": "0.500"}]
+    }
+    assert cli._record(a, "r", v=(1,)) == {"name": "r", "v": [1]}
+
+
+def test_json_refuses_ints_past_the_digit_limit():
+    a = argparse.Namespace(sig_digits=3)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli._json(a, [10**639]) == [10**639]
+        with pytest.raises(ResourceLimitError):
+            cli._json(a, {"deep": [10**640]})
+    finally:
+        sys.set_int_max_str_digits(old)

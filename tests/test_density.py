@@ -110,7 +110,7 @@ def test_mc_input_validation():
 
 def test_summand_ratios_first_step_power():
     rep = density.summand_ratio_check(20, 3)
-    assert rep.ratios == [(1, Fraction(2**20))]
+    assert rep.ratios == {1: Fraction(2**20)}
     assert rep.threshold == pytest.approx(2 * log(20))
     assert rep.all_above
 
@@ -120,12 +120,12 @@ def test_summand_ratios_larger_prime():
     assert len(rep.ratios) == 5
     assert rep.all_above
     # explicit first ratio: C(7,1) 6^100 / (C(7,2) 5^100)
-    assert rep.ratios[0][1] == Fraction(7 * 6**100, 21 * 5**100)
+    assert rep.ratios[1] == Fraction(7 * 6**100, 21 * 5**100)
 
 
 def test_summand_ratios_vacuous_at_p2():
     rep = density.summand_ratio_check(10, 2)
-    assert rep.ratios == []
+    assert rep.ratios == {}
     assert rep.all_above
 
 

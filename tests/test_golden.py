@@ -38,6 +38,12 @@ def test_golden_envelope(case):
     assert stdout == (GOLDEN / f"{case['name']}.out").read_text()
 
 
+def test_every_command_has_a_golden_case():
+    # Each subcommand's record shape is pinned by at least one exit-0 case.
+    pinned = {c["argv"][0] for c in CASES if c["exit"] == 0}
+    assert set(cli.COMMANDS) <= pinned, sorted(set(cli.COMMANDS) - pinned)
+
+
 def _error(case) -> dict | None:
     return json.loads((GOLDEN / f"{case['name']}.out").read_text()).get("error")
 
