@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, log
 
-import numpy as np
-
 from .arith import GAMMA, exp_to_decimal, is_prime, primes_up_to
 from .errors import DomainError, ResourceLimitError
 from .stochastic import shard_streams
 from .tuples import is_admissible
 
 BRUTE_FORCE_LIMIT = 10_000_000
+LOW_BLOCK_LIMIT = 1 << 20
 
 
 def rho_adm_mod_p_exact(m: int, p: int) -> Fraction:
@@ -46,9 +45,13 @@ def rho_adm_mod_p_exact(m: int, p: int) -> Fraction:
 def rho_adm_mod_p_bruteforce(m: int, p: int) -> Fraction:
     """Oracle for :func:`rho_adm_mod_p_exact` by full enumeration.
 
-    Walks all ``p**m`` residue vectors in chunks, tracking per-vector
-    coverage as a bitmask, and counts the vectors that fail to cover
-    every class mod p.
+    Forms the coverage bitmask of every one of the ``p**m`` residue
+    vectors and counts those that miss a class mod p.  The low j digits,
+    for the largest j <= m with ``p**j <= LOW_BLOCK_LIMIT``, go into one
+    array of all p**j masks, built by repeated outer OR with ``1 << d``;
+    each prefix of the m - j high digits ORs its own mask into that whole
+    array.  numpy is imported here, not at module level, so that nothing
+    else in the package loads it.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
@@ -59,17 +62,18 @@ def rho_adm_mod_p_bruteforce(m: int, p: int) -> Fraction:
         raise ResourceLimitError(f"p**m = {total} exceeds budget {BRUTE_FORCE_LIMIT}")
     if p > 62:
         raise ResourceLimitError(f"coverage bitmask needs p <= 62, got {p}")
+    import numpy as np
+
+    bits = np.left_shift(np.int64(1), np.arange(p, dtype=np.int64))
+    low = np.zeros(1, dtype=np.int64)
+    prefixes = [0]
+    for _ in range(m):
+        if low.size * p <= LOW_BLOCK_LIMIT:
+            low = (low[:, None] | bits).ravel()
+        else:
+            prefixes = [h | 1 << d for h in prefixes for d in range(p)]
     full = (1 << p) - 1
-    covering = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        mask = np.zeros(idx.shape, dtype=np.int64)
-        rest = idx
-        for _ in range(m):
-            rest, digit = np.divmod(rest, p)
-            mask |= np.left_shift(np.int64(1), digit)
-        covering += int(np.count_nonzero(mask == full))
+    covering = sum(int(np.count_nonzero((low | h) == full)) for h in prefixes)
     return Fraction(total - covering, total)
 
 

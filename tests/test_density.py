@@ -1,5 +1,6 @@
 """Admissible density: exact product, brute-force oracle, Monte Carlo."""
 
+import tracemalloc
 from fractions import Fraction
 from math import exp, log
 
@@ -31,6 +32,35 @@ def test_per_prime_formula_equals_bruteforce_small_grid():
         while p**m <= 100_000:
             assert density.rho_adm_mod_p_exact(m, p) == density.rho_adm_mod_p_bruteforce(m, p)
             m += 1
+
+
+@pytest.mark.parametrize(
+    "m, p",
+    [
+        # every digit in the low block (7**7 = 823543 <= 2**20)
+        (20, 2), (12, 3), (7, 7),
+        # high-digit prefixes on top of a full low block
+        (21, 2), (13, 3), (9, 5), (8, 7),
+        # p > m: no vector covers every class
+        (3, 5),
+    ],
+)
+def test_bruteforce_at_the_low_block_split(m, p):
+    assert density.rho_adm_mod_p_bruteforce(m, p) == density.rho_adm_mod_p_exact(m, p)
+
+
+def test_bruteforce_memory_stays_within_the_low_block():
+    # The low block holds at most LOW_BLOCK_LIMIT int64 masks; OR-ing in a
+    # prefix makes one more such array and a boolean one, 17 bytes per mask.
+    # One digit too many in the low block takes p times that.
+    for m, p in ((21, 2), (13, 3), (9, 5), (8, 7)):
+        tracemalloc.start()
+        try:
+            density.rho_adm_mod_p_bruteforce(m, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * density.LOW_BLOCK_LIMIT, (m, p, peak)
 
 
 def test_bruteforce_budget_and_prime_checks():

@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tuplebounds"
@@ -50,3 +54,43 @@ def test_benchmark_tracer_hooks_fit_the_package():
     assert metrics["stochastic.draw_distinct.draws_per_accept"][0] >= 1
     assert est.samples == 100
     assert density.rho_adm_mc is original
+
+
+# Runs in a fresh interpreter, since this test process may hold numpy already.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import tuplebounds.cli as cli
+from tuplebounds import density
+
+cases = json.loads(open(sys.argv[1]).read())
+argvs = {}
+for case in cases:
+    if case["exit"] == 0:
+        argvs.setdefault(case["argv"][0], case["argv"])
+codes = {}
+for name, argv in argvs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = cli.main(list(argv))
+after_cli = "numpy" in sys.modules
+oracle = str(density.rho_adm_mod_p_bruteforce(3, 2))
+print(json.dumps({"codes": codes, "after_cli": after_cli, "oracle": oracle,
+                  "after_oracle": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_is_loaded_only_by_the_enumeration_oracle():
+    # Every CLI command answers without numpy; the oracle still imports it.
+    cases = Path(__file__).parent / "golden" / "cases.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(cases)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    from tuplebounds import cli
+
+    assert probe["codes"] == {name: 0 for name in cli.COMMANDS}
+    assert probe["after_cli"] is False
+    assert probe["oracle"] == "1/4"
+    assert probe["after_oracle"] is True
