@@ -327,6 +327,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: ``random.Random`` seeds with the
+    absolute value, so a negative seed would repeat another seed's run."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _flag(name: str, type: Callable = int, **kw) -> tuple[str, dict]:
     """An ``add_argument`` spec; required unless it sets a default or an action."""
     if "action" not in kw:
@@ -339,7 +351,7 @@ _K = _flag("--k")
 _ELL = _flag("--ell")
 _Y = _flag("--y")
 _P = _flag("--p")
-_SEED = _flag("--seed", default=0)
+_SEED = _flag("--seed", _seed, default=0)
 _SHARDS = _flag("--shards", default=1)
 _SAMPLES = _flag("--samples", default=10_000)
 _SIG = _flag(

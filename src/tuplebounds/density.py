@@ -136,23 +136,53 @@ def rho_adm_mc(
 ) -> McDensityEstimate:
     """Admissible fraction of random distinct m-subsets of [-B, B].
 
+    Each sample is the m-subset that ``rng.sample(range(-B, B + 1), m)``
+    picks, drawn call for call as that method draws it, so a seed gives
+    the same successes as the plain ``random.sample`` loop.  With
+    n = 2B + 1, CPython's ``sample`` walks a pool of all n values when
+    n <= 21 + 4^ceil(log_4 3m) (the second term only for m > 5) and
+    otherwise adds ``_randbelow(n)`` draws to a set until it holds m.
+    Since 4^ceil(log_4 3m) < 4 * 3m = 12m, every n > 21 + 12m takes the
+    set branch, which is inlined below: ``_randbelow(n)`` redraws
+    ``getrandbits(n.bit_length())`` until it is below n, and a repeat
+    offset draws again, so each draw is one ``getrandbits`` call either
+    way.  Smaller n keep ``rng.sample``.  (CPython takes that ceiling in
+    floating point; it comes out one power of 4 too high only when 3m
+    lies within float precision below a power of 4, first at m ~ 9.6e16,
+    far past any m whose samples fit in memory.)  The offsets are never
+    turned into a range, so B has no ssize_t cap.
+
     Shards split the samples as :func:`stochastic.shard_streams` says
     and merge by summing successes.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if 2 * range_bound + 1 < m:
+    n = 2 * range_bound + 1
+    if n < m:
         raise DomainError(f"range_bound {range_bound} cannot host {m} distinct values")
     if samples < 100:
         raise DomainError(f"samples must be >= 100, got {samples}")
     if shards < 1 or shards > samples:
         raise DomainError(f"bad samples/shards: {samples}/{shards}")
-    population = range(-range_bound, range_bound + 1)
+    bits = n.bit_length()
     successes = 0
+    # Admissibility is invariant under translation, so the offsets j in
+    # [0, n) are tested in place of the values j - B.
     for rng, n_i in shard_streams(seed, samples, shards):
-        sample = rng.sample
+        if n <= 21 + 12 * m:
+            sample, pool = rng.sample, range(n)
+            for _ in range(n_i):
+                if is_admissible(sample(pool, m)):
+                    successes += 1
+            continue
+        getrandbits = rng.getrandbits
         for _ in range(n_i):
-            if is_admissible(sample(population, m)):
+            picks = set()
+            while len(picks) < m:
+                j = getrandbits(bits)
+                if j < n:
+                    picks.add(j)
+            if is_admissible(picks):
                 successes += 1
     est = successes / samples
     se = (est * (1.0 - est) / samples) ** 0.5

@@ -11,6 +11,13 @@ prime for any whole-period window) P(X_p = 0) is the birthday product,
 and E[e^{r X_p / p}] has the closed two-point form used by the Chernoff
 product here.  Sampling never enumerates the window: a residue vector is
 drawn per prime and combined by CRT, then placed in a uniform block.
+
+The sampler here and ``density.rho_adm_mc`` draw their variates with
+``rng.getrandbits``, making exactly the calls that ``Random._randbelow``
+makes: ``getrandbits(k)`` with k = n.bit_length(), repeated while the
+result is >= n.  A seed therefore gives the stream that
+``Random.randrange`` and ``Random.sample`` would give, which
+``tests/test_mc_streams.py`` pins against those methods.
 """
 
 from __future__ import annotations
@@ -62,16 +69,28 @@ class CoprimeWindowSampler:
         for p in arith.primes_up_to(k):
             m_p = R // p
             self._basis.append((p, m_p * pow(m_p % p, -1, p)))
+        # draw() inlines each _randbelow(n) from its (n, n.bit_length()):
+        # randrange(1, p) is 1 + _randbelow(p - 1) and randrange(-N, N)
+        # is -N + _randbelow(2N).
+        self._units = [(p - 1, (p - 1).bit_length(), e_p) for p, e_p in self._basis]
+        self._blocks = (2 * self.N, (2 * self.N).bit_length())
 
     def draw(self) -> int:
-        randrange = self.rng.randrange
         R = self.space.R
         if R == 1:
-            return randrange(-self.space.x + 1, self.space.x + 1)
+            return self.rng.randrange(-self.space.x + 1, self.space.x + 1)
+        getrandbits = self.rng.getrandbits
         u = 0
-        for p, e_p in self._basis:
-            u += randrange(1, p) * e_p
-        return u % R + randrange(-self.N, self.N) * R
+        for n, bits, e_p in self._units:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            u += (r + 1) * e_p
+        n, bits = self._blocks
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return u % R + (r - self.N) * R
 
     def draw_distinct(self, m: int) -> tuple[int, ...]:
         """m distinct elements, uniform over m-subsets, sorted.

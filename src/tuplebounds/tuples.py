@@ -13,7 +13,7 @@ primorial, and its size then has the exact closed form
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -66,14 +66,18 @@ def residue_profile(h: IntTuple, bound: int) -> dict[int, int]:
     return {p: residue_count(h, p) for p in primes_up_to(bound)}
 
 
-def is_admissible(h: IntTuple | Sequence[int]) -> bool:
+def is_admissible(h: IntTuple | Collection[int]) -> bool:
     """True when ``h`` misses a residue class mod every prime ``p <= len(h)``.
 
-    ``h`` is any sequence of distinct ints, an :class:`IntTuple` or a
-    plain list alike; order does not matter.  Residues are counted
-    inline, so a Monte Carlo loop can pass each drawn list straight in.
+    ``h`` is any collection of distinct ints: an :class:`IntTuple`, a
+    list or a set alike; order does not matter.  Residues are counted
+    inline, so a Monte Carlo loop can pass each drawn collection straight
+    in, and the first prime whose classes are all hit returns False.
     """
-    return all(len({e % p for e in h}) < p for p in primes_up_to(len(h)))
+    for p in primes_up_to(len(h)):
+        if len({e % p for e in h}) >= p:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,51 @@ def test_rho_adm_mc_deterministic(capsys):
     assert env["seed"] == 9
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("range_bound", [2**62, 10**19])
+def test_rho_adm_mc_accepts_ranges_past_ssize_t(capsys, range_bound):
+    # range(-B, B + 1) has no len() past 2**63 - 1, so random.sample over it
+    # raised OverflowError; the draws never build that range.
+    argv = ["rho-adm", "--m", "4", "--mc", "--range", str(range_bound), "--samples", "100"]
+    code = cli.main(argv)
+    env = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    r = result_named(env, "rho_adm_mc")
+    assert 0 <= r["successes"] <= r["samples"] == 100
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho-adm", "--m", "4", "--mc", "--samples", "1000"],
+        ["lll-survival", "--m", "2", "--k", "5", "--trials", "300"],
+    ],
+)
+def test_negative_seed_is_domain_error(capsys, argv):
+    # random.Random seeds with |seed|: --seed -5 would repeat --seed 5.
+    code, env = run(capsys, *argv, "--seed", "-5")
+    assert code == 3
+    assert env["error"]["kind"] == "domain-error"
+    assert "--seed" in env["error"]["message"]
+
+
+def test_negative_seed_is_refused_before_the_csv_opens(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    code, env = run(
+        capsys, "mc-f-stats", "--m", "2", "--k", "20", "--samples", "200", "--seed", "-3",
+        "--csv", str(path),
+    )
+    assert code == 3
+    assert env["error"]["kind"] == "domain-error"
+    assert not path.exists()
+
+
 def test_summand_ratio(capsys):
     code, env = run(capsys, "summand-ratio", "--m", "100", "--p", "7")
     assert code == 0

@@ -1,11 +1,16 @@
 """The Monte Carlo loops against their straightforward forms as oracles.
 
 Each oracle below is the plain form of a loop that the package runs in a
-faster shape: an ``IntTuple`` and a per-prime ``residue_count`` for every
-``rho_adm_mc`` sample, a ``Fraction`` product for every f value, and a
-sampler draw that looks up ``rng.randrange`` on every call.  Both forms
-consume the same ``random.Random`` stream through the same public calls,
-so the records must be equal, not merely close.
+faster shape: ``rng.sample`` over ``range(-B, B + 1)`` with an
+``IntTuple`` and a per-prime ``residue_count`` for every ``rho_adm_mc``
+sample, a ``Fraction`` product for every f value, and a sampler draw
+that calls ``rng.randrange`` per prime and for the block index.  The
+fast forms call ``rng.getrandbits`` themselves, exactly as
+``Random._randbelow`` does inside ``sample`` and ``randrange`` (keeping
+``rng.sample`` only for ranges small enough that ``sample`` may walk a
+pool), and test the offsets in [0, 2B] in place of the values.  Both
+forms consume the same ``random.Random`` stream call for call, so the
+records must be equal, not merely close.
 """
 
 import random
@@ -139,3 +144,34 @@ def test_is_admissible_same_on_tuple_and_list():
         picks = rng.sample(range(-30, 31), m)
         h = IntTuple.from_iterable(picks)
         assert is_admissible(picks) == is_admissible(h) == _admissible_oracle(h)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_rho_adm_mc_matches_oracle_around_the_sample_branch_bound(m):
+    # n = 2B + 1 runs from m to 21 + 12m + 4: rho_adm_mc calls rng.sample
+    # up to 21 + 12m and draws getrandbits itself above it.
+    for range_bound in range(m // 2, 13 + 6 * m):
+        seed = 1000 * m + range_bound
+        est = density.rho_adm_mc(m, range_bound, 100, seed)
+        assert est.successes == _rho_adm_mc_successes(m, range_bound, 100, seed, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_rho_adm_mc_matches_oracle_at_the_largest_sample_range(m):
+    # len(range(-B, B + 1)) is 2**63 - 1 here, the most random.sample accepts.
+    range_bound = 2**62 - 1
+    est = density.rho_adm_mc(m, range_bound, 150, m, 2)
+    assert est.successes == _rho_adm_mc_successes(m, range_bound, 150, m, 2)
+
+
+@pytest.mark.parametrize("N", [1, 2**31 + 1, 2**63 + 1])
+def test_draw_matches_oracle_at_block_index_edges(N):
+    # 2N = 2, 2N > 2**32 and 2N > 2**64: in the last two, each
+    # getrandbits call consumes two and three 32-bit generator outputs.
+    k = 5
+    x = N * primorial(k)
+    fast = stochastic.CoprimeWindowSampler(k, x, random.Random(N))
+    slow = stochastic.CoprimeWindowSampler(k, x, random.Random(N))
+    assert fast.N == N
+    assert [fast.draw() for _ in range(300)] == [_draw(slow) for _ in range(300)]
+    assert fast.rng.getstate() == slow.rng.getstate()
