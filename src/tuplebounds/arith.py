@@ -32,7 +32,7 @@ MAX_SIEVE_LIMIT = 10_000_000
 
 # Python's int->str digit limit, read per call (0: none; Pythons before
 # 3.10.7 have neither the limit nor this getter).
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 _cached_limit = 0
 _cached_primes: tuple[int, ...] = ()
@@ -150,12 +150,28 @@ def check_str_digits(n: int) -> int:
     ``n`` has more than ``limit`` digits exactly when ``|n| >= 10**limit``;
     below ``3 * limit`` bits (``8**limit < 10**limit``) it cannot.
     """
-    limit = _max_str_digits()
+    limit = max_str_digits()
     if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
         raise ResourceLimitError(
             f"a {n.bit_length()}-bit integer exceeds the {limit}-digit int->str limit"
         )
     return n
+
+
+def check_power_digits(base: int, exp: int) -> None:
+    """Refuse ``base**exp`` (``base >= 1``) with ResourceLimitError, before
+    computing it, where :func:`check_str_digits` would surely refuse it.
+
+    ``base**exp >= 2**(exp * (base.bit_length() - 1))``, which is at least
+    ``10**limit`` once that exponent passes ``4 * limit`` (4 > log2 10).
+    A no-op when there is no limit.
+    """
+    limit = max_str_digits()
+    bits = exp * (base.bit_length() - 1)
+    if limit and bits > 4 * limit:
+        raise ResourceLimitError(
+            f"a power of over {bits} bits exceeds the {limit}-digit int->str limit"
+        )
 
 
 def int_to_str(n: int) -> str:
@@ -174,7 +190,7 @@ def to_decimal(x: Fraction, sig_digits: int) -> str:
     """
     if sig_digits < 1:
         raise DomainError(f"sig_digits must be >= 1, got {sig_digits}")
-    if 0 < (limit := _max_str_digits()) < sig_digits:
+    if 0 < (limit := max_str_digits()) < sig_digits:
         # The digit string would be refused anyway; refuse before computing it.
         raise ResourceLimitError(f"{sig_digits} digits exceed the {limit}-digit int->str limit")
     x = Fraction(x)

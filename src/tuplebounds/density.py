@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, exp, log
+from operator import and_, or_
 
 from .arith import GAMMA, exp_to_decimal, is_prime, primes_up_to
 from .errors import DomainError, ResourceLimitError
@@ -45,13 +47,12 @@ def rho_adm_mod_p_exact(m: int, p: int) -> Fraction:
 def rho_adm_mod_p_bruteforce(m: int, p: int) -> Fraction:
     """Oracle for :func:`rho_adm_mod_p_exact` by full enumeration.
 
-    Forms the coverage bitmask of every one of the ``p**m`` residue
-    vectors and counts those that miss a class mod p.  The low j digits,
-    for the largest j <= m with ``p**j <= LOW_BLOCK_LIMIT``, go into one
-    array of all p**j masks, built by repeated outer OR with ``1 << d``;
-    each prefix of the m - j high digits ORs its own mask into that whole
-    array.  numpy is imported here, not at module level, so that nothing
-    else in the package loads it.
+    Forms the coverage of every one of the ``p**m`` residue vectors, one
+    bit per class, and counts those that miss a class mod p.  The low j
+    digits, for the largest j <= m with ``p**j <= LOW_BLOCK_LIMIT``, form
+    a block held transposed: bit i of ``hits[d]`` is set iff low vector i
+    has a digit d.  A prefix h of the m - j high digits is covered by the
+    low vectors in the AND of ``hits[d]`` over the classes d not in h.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
@@ -62,18 +63,18 @@ def rho_adm_mod_p_bruteforce(m: int, p: int) -> Fraction:
         raise ResourceLimitError(f"p**m = {total} exceeds budget {BRUTE_FORCE_LIMIT}")
     if p > 62:
         raise ResourceLimitError(f"coverage bitmask needs p <= 62, got {p}")
-    import numpy as np
-
-    bits = np.left_shift(np.int64(1), np.arange(p, dtype=np.int64))
-    low = np.zeros(1, dtype=np.int64)
-    prefixes = [0]
+    hits, size, prefixes = [0] * p, 1, [0]
     for _ in range(m):
-        if low.size * p <= LOW_BLOCK_LIMIT:
-            low = (low[:, None] | bits).ravel()
-        else:
+        if size * p > LOW_BLOCK_LIMIT:
             prefixes = [h | 1 << d for h in prefixes for d in range(p)]
-    full = (1 << p) - 1
-    covering = sum(int(np.count_nonzero((low | h) == full)) for h in prefixes)
+            continue
+        # Vector t*size + i is low vector i with the digit t appended.
+        hits = [reduce(or_, (x << t * size for t in range(p)), ((1 << size) - 1) << d * size)
+                for d, x in enumerate(hits)]
+        size *= p
+    every = (1 << size) - 1
+    rows = ([hits[d] for d in range(p) if not h >> d & 1] for h in prefixes)
+    covering = sum(reduce(and_, row, every).bit_count() for row in rows)
     return Fraction(total - covering, total)
 
 
@@ -209,7 +210,7 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
         raise DomainError(f"p must be prime, got {p}")
     if m < 3:
         raise DomainError(f"m must be >= 3, got {m}")
-    if p > m / log(m):
+    if p * log(m) > m:  # p > m / log m, without a float past range at huge m
         raise DomainError(f"p={p} is above m/log m = {m / log(m):.3f}")
     j_max = min(m - 1, p - 1)
     ratios: dict[int, Fraction] = {}

@@ -64,15 +64,14 @@ class CoprimeWindowSampler:
         self.space = SampleSpace(x=x, k=k)
         self.rng = rng
         self.N = x // self.space.R
-        self._basis: list[tuple[int, int]] = []
         R = self.space.R
-        for p in arith.primes_up_to(k):
-            m_p = R // p
-            self._basis.append((p, m_p * pow(m_p % p, -1, p)))
         # draw() inlines each _randbelow(n) from its (n, n.bit_length()):
         # randrange(1, p) is 1 + _randbelow(p - 1) and randrange(-N, N)
-        # is -N + _randbelow(2N).
-        self._units = [(p - 1, (p - 1).bit_length(), e_p) for p, e_p in self._basis]
+        # is -N + _randbelow(2N).  Each CRT weight is 1 mod p and 0 mod R/p.
+        self._units = [
+            (p - 1, (p - 1).bit_length(), R // p * pow(R // p, -1, p))
+            for p in arith.primes_up_to(k)
+        ]
         self._blocks = (2 * self.N, (2 * self.N).bit_length())
 
     def draw(self) -> int:

@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import primes_up_to, primorial, primorial_totient
-from .errors import DomainError, RegressionFailure, ResourceLimitError
-
-MAX_ELEMENTS = 1_000_000
+from .errors import DomainError, RegressionFailure
 
 
 @dataclass(frozen=True)
@@ -104,13 +102,6 @@ class SampleSpace:
         # Each block of R consecutive integers holds phi(R) units, and
         # (-x, x] is exactly 2x/R such blocks.
         return 2 * (self.x // self.R) * self.totient_R
-
-
-def enumerate_sample_space(space: SampleSpace) -> list[int]:
-    """All members of the window in ascending order."""
-    if space.size > MAX_ELEMENTS:
-        raise ResourceLimitError(f"window holds {space.size} elements, budget is {MAX_ELEMENTS}")
-    return [n for n in range(-space.x + 1, space.x + 1) if gcd(n, space.R) == 1]
 
 
 def first_k_admissible(k: int) -> IntTuple:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tuplebounds import arith, cli, density, plausible, polignac, tuples
+from tuplebounds import arith, cli, density, plausible, polignac, stochastic, tuples
 from tuplebounds.errors import ResourceLimitError
 
 
@@ -390,6 +390,12 @@ _HUGE_MULT = str(10**4299)  # 4300 digits: parses, but times primorial(k >= 5) d
         # The first result's value does not print; the scan over y would take 40 s.
         ["eta", "--ell", "60000"],
         ["delta2-report", "--k", "60000"],
+        # Each exact value takes from seconds to hours, then does not print.
+        ["birthday", "--m", "50000", "--p", "1000000007"],
+        ["counting-bound", "--m", "10000", "--k", "10000"],
+        ["summand-ratio", "--m", str(10**9), "--p", "3"],
+        ["summand-ratio", "--m", str(10**400), "--p", "3"],  # m / log m overflows a float
+        ["lll-check", "--m", str(10**6), "--k", str(10**12)],
     ],
 )
 def test_raw_ints_past_digit_limit_are_refused_at_once(capsys, argv):
@@ -399,6 +405,49 @@ def test_raw_ints_past_digit_limit_are_refused_at_once(capsys, argv):
     assert code == 4
     assert env["error"]["kind"] == "resource-limit"
     assert "int->str limit" in env["error"]["message"]
+
+
+def test_power_just_below_digit_limit_still_prints(capsys):
+    # Ratio 1 at p = 3 is 2^m: 4300 digits at m = 14284, 4301 at m = 14285.
+    code, env = run(capsys, "summand-ratio", "--m", "14284", "--p", "3")
+    assert code == 0
+    assert len(env["results"][0]["ratios"]["1"]["num"]) == 4300
+    code, env = run(capsys, "summand-ratio", "--m", "14285", "--p", "3")
+    assert code == 4
+    assert "int->str limit" in env["error"]["message"]
+
+
+# Inputs around each power refusal at a 640-digit limit (2560 bits): the
+# library value, and the argv for it.
+_POWER_GRID = [
+    *((stochastic.birthday_prob_exact, "birthday", m, p) for p in (359, 383)
+      for m in range(300, p)),
+    *((density.summand_ratio_check, "summand-ratio", m, p) for p in (3, 5)
+      for m in (1281, 1282, 1283, 2560, 2561, 2562)),
+    *((plausible.counting_power_bound, "counting-bound", m, k) for k in (40, 59)
+      for m in range(1, k + 1)),
+    *((plausible.lll_parameters, "lll-check", m, 6000) for m in range(2540, 2600, 4)),
+]
+
+
+def test_power_refusals_are_never_premature(capsys):
+    # Whenever a command refuses a power before computing it, rendering
+    # the library's value would have been refused too.
+    a = argparse.Namespace(sig_digits=12)
+    refused = set()
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for func, command, m, n in _POWER_GRID:
+            flag = "--p" if command in ("birthday", "summand-ratio") else "--k"
+            code, env = run(capsys, command, "--m", str(m), flag, str(n))
+            if code == 4 and env["error"]["message"].startswith("a power of over"):
+                refused.add(command)
+                with pytest.raises(ResourceLimitError):
+                    cli._json(a, func(m, n))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert refused == {command for _, command, _, _ in _POWER_GRID}
 
 
 def test_construction_fields_past_digit_limit_are_refused(capsys):

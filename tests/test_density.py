@@ -43,6 +43,8 @@ def test_per_prime_formula_equals_bruteforce_small_grid():
         (21, 2), (13, 3), (9, 5), (8, 7),
         # p > m: no vector covers every class
         (3, 5),
+        # large p: many short bitsets, far past criterion 2's p <= 31
+        (3, 37), (2, 59), (3, 61), (1, 61),
     ],
 )
 def test_bruteforce_at_the_low_block_split(m, p):
@@ -50,9 +52,9 @@ def test_bruteforce_at_the_low_block_split(m, p):
 
 
 def test_bruteforce_memory_stays_within_the_low_block():
-    # The low block holds at most LOW_BLOCK_LIMIT int64 masks; OR-ing in a
-    # prefix makes one more such array and a boolean one, 17 bytes per mask.
-    # One digit too many in the low block takes p times that.
+    # The low block holds p bitsets of at most LOW_BLOCK_LIMIT bits each,
+    # and the tiling and the AND per prefix make a few more of that size:
+    # about LOW_BLOCK_LIMIT bytes at p <= 7, far inside this bound.
     for m, p in ((21, 2), (13, 3), (9, 5), (8, 7)):
         tracemalloc.start()
         try:
@@ -63,9 +65,26 @@ def test_bruteforce_memory_stays_within_the_low_block():
         assert peak <= 20 * density.LOW_BLOCK_LIMIT, (m, p, peak)
 
 
+@pytest.mark.parametrize("m, p", [(21, 2), (13, 3), (9, 5), (8, 7)])
+def test_bruteforce_low_block_stops_at_the_limit(m, p):
+    # p bitsets of LOW_BLOCK_LIMIT bits, plus a few transients of that size
+    # while tiling or AND-ing.  A digit too many in the low block makes
+    # every bitset p times longer and breaks this bound.
+    tracemalloc.start()
+    try:
+        density.rho_adm_mod_p_bruteforce(m, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (p + 8) * density.LOW_BLOCK_LIMIT // 8, peak
+
+
 def test_bruteforce_budget_and_prime_checks():
     with pytest.raises(ResourceLimitError):
         density.rho_adm_mod_p_bruteforce(30, 2)
+    # p bitsets of p bits each: unbounded in p without this refusal.
+    with pytest.raises(ResourceLimitError):
+        density.rho_adm_mod_p_bruteforce(1, 67)
     with pytest.raises(DomainError):
         density.rho_adm_mod_p_bruteforce(2, 4)
     with pytest.raises(DomainError):

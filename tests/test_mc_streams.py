@@ -43,7 +43,8 @@ def _draw(sampler):
     if R == 1:
         return sampler.rng.randrange(-sampler.space.x + 1, sampler.space.x + 1)
     u = 0
-    for p, e_p in sampler._basis:
+    for p in primes_up_to(sampler.space.k):
+        e_p = R // p * pow(R // p, -1, p)
         u += sampler.rng.randrange(1, p) * e_p
     u %= R
     return u + sampler.rng.randrange(-sampler.N, sampler.N) * R

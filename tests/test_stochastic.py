@@ -5,11 +5,12 @@ from fractions import Fraction
 from math import exp, gcd
 
 import pytest
+from oracles import enumerate_sample_space
 
 from tuplebounds import stochastic
 from tuplebounds.arith import primorial
 from tuplebounds.errors import DomainError, ResourceLimitError
-from tuplebounds.tuples import IntTuple, SampleSpace, enumerate_sample_space
+from tuplebounds.tuples import IntTuple, SampleSpace
 
 
 def test_birthday_prob_known_values():

@@ -56,6 +56,25 @@ def test_benchmark_tracer_hooks_fit_the_package():
     assert density.rho_adm_mc is original
 
 
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_package_module_imports_numpy():
+    # The package has no runtime dependencies; numpy is a test-only oracle.
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text()))
+        if name.split(".")[0] == "numpy"
+    ]
+    assert not found, found
+
+
 # Runs in a fresh interpreter, since this test process may hold numpy already.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
@@ -78,8 +97,8 @@ print(json.dumps({"codes": codes, "after_cli": after_cli, "oracle": oracle,
 """
 
 
-def test_numpy_is_loaded_only_by_the_enumeration_oracle():
-    # Every CLI command answers without numpy; the oracle still imports it.
+def test_numpy_is_never_loaded_by_the_package():
+    # Every CLI command and the enumeration oracle answer without numpy.
     cases = Path(__file__).parent / "golden" / "cases.json"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
@@ -93,4 +112,4 @@ def test_numpy_is_loaded_only_by_the_enumeration_oracle():
     assert probe["codes"] == {name: 0 for name in cli.COMMANDS}
     assert probe["after_cli"] is False
     assert probe["oracle"] == "1/4"
-    assert probe["after_oracle"] is True
+    assert probe["after_oracle"] is False
