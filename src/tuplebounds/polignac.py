@@ -22,7 +22,6 @@ from math import gcd
 
 from . import arith
 from .errors import DomainError, RegressionFailure, ResourceLimitError
-from .tuples import is_admissible
 
 H_SEARCH_CAP = 10**6
 PERIOD_BUDGET = 10**7
@@ -115,12 +114,6 @@ class ConstructionBundle:
         return tuple(sorted(self.B1 + self.B2))
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    # x = r1 (mod m1), x = r2 (mod m2) for coprime moduli.
-    t = ((r2 - r1) * pow(m1, -1, m2)) % m2
-    return r1 + m1 * t
-
-
 def build_construction(ell: int, y: int) -> ConstructionBundle:
     """Materialize the covering construction for (ell, y).
 
@@ -144,20 +137,21 @@ def build_construction(ell: int, y: int) -> ConstructionBundle:
         raise ResourceLimitError(f"no h <= {H_SEARCH_CAP} with h*{v}+1 prime and > {ell}")
 
     # B1: i*h mod q, 1 mod M, for i = 0..v; reps taken in [0, q*M).
-    B1 = tuple(_crt_pair(1, M, (i * h) % q, q) for i in range(v + 1))
+    inv_M = pow(M, -1, q)
+    B1 = tuple(1 + M * ((i * h - 1) * inv_M % q) for i in range(v + 1))
 
-    # B2: one slot per s in 0..y-2.  Slot s sits in class s+2 mod p for
-    # each prime p <= y large enough (s <= p-3), in the filler class 1
-    # otherwise, and in class 1 mod every prime in (y, ell].  Duplicate
-    # representatives are bumped by M, which preserves all residues.
+    # B2: one slot per s in 0..y-2, in class s+2 mod each prime p in
+    # [s+3, y] and in class 1 mod every other prime <= ell.  The
+    # idempotents e_p (1 mod p, 0 mod M/p) sum to 1 mod M, so that is
+    # 1 + (s+1) E_s mod M, E_s the sum of e_p over p in [s+3, y].
+    # Duplicates are bumped by M, which preserves all residues.
+    idem = {p: M // p * pow(M // p, -1, p) for p in arith.primes_up_to(y)}
+    E = sum(idem.values())
     used = set(B1)
     b2: list[int] = []
     for s in range(y - 1):
-        rep, mod = 0, 1
-        for p in arith.primes_up_to(ell):
-            cls = (s + 2 if s <= p - 3 else 1) if p <= y else 1
-            rep = _crt_pair(rep, mod, cls % p, p)
-            mod *= p
+        E -= idem.get(s + 2, 0)
+        rep = (1 + (s + 1) * E) % M
         while rep in used:
             rep += M
         used.add(rep)
@@ -170,7 +164,9 @@ def build_construction(ell: int, y: int) -> ConstructionBundle:
     )
     if len(set(bundle.elements)) != ell:
         raise RegressionFailure(f"construction at ell={ell}, y={y} repeats an element")
-    if not is_admissible(bundle.elements):
+    # Exact: ell elements need only miss a class mod each prime <= ell,
+    # and one coprime to M = primorial(ell) is in class 0 mod none.
+    if any(gcd(e, M) != 1 for e in bundle.elements):
         raise RegressionFailure(f"construction at ell={ell}, y={y} is not admissible")
     return bundle
 

@@ -26,7 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, inf, isfinite, log
+from math import exp, gcd, inf, isfinite, log, perm
 from typing import Iterator
 
 from . import arith
@@ -34,6 +34,7 @@ from .errors import DomainError, ResourceLimitError
 from .tuples import IntTuple, SampleSpace, residue_count
 
 TRANSLATION_SCAN_BUDGET = 20_000_000
+CHERNOFF_BUDGET = 10**9
 SMALL_INSTANCE_K = 12
 
 
@@ -45,10 +46,7 @@ def birthday_prob_exact(m: int, p: int) -> Fraction:
         raise DomainError(f"p must be an odd prime, got {p}")
     if m >= p:
         return Fraction(0)
-    out = Fraction(1)
-    for i in range(1, m):
-        out *= Fraction(p - 1 - i, p - 1)
-    return out
+    return Fraction(perm(p - 2, m - 1), (p - 1) ** (m - 1))
 
 
 class CoprimeWindowSampler:
@@ -237,13 +235,17 @@ def chernoff_tail_bound(m: int, k: int, r: float, s: float) -> ChernoffBound:
     """e^(-rs) * prod_p E[e^{r X_p / p}] over m^2 < p <= k.
 
     Per prime, E = P0 + (1 - P0) e^{r/p} with the exact rational
-    birthday P0; only the exponential factor is float64.  An e^{r/p} or
-    a product past float range raises ResourceLimitError.
+    birthday P0; only the exponential factor is float64.  An e^{r/p}, a
+    product past float range, or primes times m^2 past CHERNOFF_BUDGET
+    raises ResourceLimitError.
     """
     if r < 0 or s < 0:
         raise DomainError(f"need r, s >= 0, got r={r}, s={s}")
+    primes = _mid_primes(m, k)
+    if len(primes) * m * m > CHERNOFF_BUDGET:
+        raise ResourceLimitError(f"{len(primes)} primes times m^2 exceeds {CHERNOFF_BUDGET}")
     product = 1.0
-    for p in _mid_primes(m, k):
+    for p in primes:
         p0 = float(birthday_prob_exact(m, p))
         try:
             product *= p0 + (1.0 - p0) * exp(r / p)

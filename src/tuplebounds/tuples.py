@@ -13,11 +13,11 @@ primorial, and its size then has the exact closed form
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from math import gcd
 
-from .arith import primes_up_to, primorial, primorial_totient
+from .arith import MAX_SIEVE_LIMIT, primes_up_to, primorial, primorial_totient
 from .errors import DomainError, RegressionFailure
 
 
@@ -105,22 +105,24 @@ class SampleSpace:
 
 
 def first_k_admissible(k: int) -> IntTuple:
-    """The k smallest positive integers coprime to the primorial of k.
+    """The k smallest positive integers coprime to the primorial of k:
+    1 and the first k-1 primes above k, from a sieve doubled up to its cap.
 
-    Such a tuple is admissible by construction: no element is divisible
-    by any prime up to k, so the zero class mod each of those primes is
-    free.
+    The check k < h[1] and h[-1] < h[1]^2 is exact given the sieve: below
+    h[1]^2 the integers coprime to primorial(k) are 1 and the primes above
+    k, so h holds the k smallest, and with class 0 free mod every prime
+    up to k, h is admissible.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    R = primorial(k)
-    out: list[int] = []
-    n = 1
-    while len(out) < k:
-        if gcd(n, R) == 1:
-            out.append(n)
-        n += 1
-    h = IntTuple(tuple(out))
-    if not is_admissible(h):
+    n = 2 * k
+    primes = primes_up_to(n)
+    start = bisect_right(primes, k)
+    while len(primes) - start < k - 1:
+        # Doubles up to the cap, then asks past it so that the sieve refuses.
+        n = min(2 * n, MAX_SIEVE_LIMIT) if n < MAX_SIEVE_LIMIT else n + 1
+        primes = primes_up_to(n)
+    h = IntTuple((1,) + primes[start : start + k - 1])
+    if k > 1 and not (k < h[1] and h[-1] < h[1] ** 2):
         raise RegressionFailure(f"first_k_admissible({k}) gave an inadmissible tuple")
     return h

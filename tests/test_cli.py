@@ -1,6 +1,7 @@
 """End-to-end CLI checks: JSON envelopes, exit codes, determinism."""
 
 import argparse
+import bisect
 import json
 import math
 import sys
@@ -324,14 +325,16 @@ def test_delta_chain_c_too_small_for_m_is_domain_error(capsys):
 
 
 def test_first_k_admissibility_fault_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(tuples, "is_admissible", lambda h: False)
+    # A sieve slice starting at or below k puts a prime <= k into the tuple.
+    monkeypatch.setattr(tuples, "bisect_right", lambda a, x: bisect.bisect_right(a, x) - 1)
     code, env = run(capsys, "first-k", "--k", "5")
     assert code == 2
     assert env["error"]["kind"] == "regression-failure"
 
 
 def test_construct_admissibility_fault_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(polignac, "is_admissible", lambda h: False)
+    # Every element then shares a factor with primorial(ell).
+    monkeypatch.setattr(polignac, "gcd", lambda a, b: 2)
     code, env = run(capsys, "construct", "--ell", "3", "--y", "1")
     assert code == 2
     assert env["error"]["kind"] == "regression-failure"
@@ -370,6 +373,31 @@ def test_huge_prime_flag_hits_resource_limit_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 4
     assert env["error"]["kind"] == "resource-limit"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 614395 is the last k whose tuple ends under the sieve cap.
+        (["first-k", "--k", "614396"], "exceeds cap"),
+        (["first-k", "--k", str(10**6)], "exceeds cap"),
+        (["chernoff", "--m", "300", "--k", str(10**6), "--r", "1", "--s", "1"], "primes times m^2"),
+        (["chernoff", "--m", "1000", "--k", str(10**7), "--r", "1", "--s", "1"], "primes times m^2"),
+    ],
+)
+def test_work_past_the_sieve_cap_or_chernoff_budget_is_refused(capsys, argv, message):
+    t0 = time.perf_counter()
+    code, env = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 3.0
+    assert code == 4
+    assert message in env["error"]["message"]
+
+
+def test_chernoff_budget_admits_m_100_and_refuses_m_300_at_k_a_million():
+    def work(m):
+        return len(stochastic._mid_primes(m, 10**6)) * m * m
+
+    assert work(100) <= stochastic.CHERNOFF_BUDGET < work(300)
 
 
 _HUGE_MULT = str(10**4299)  # 4300 digits: parses, but times primorial(k >= 5) does not print

@@ -1,13 +1,14 @@
 """Pair-density bounds and the covering construction."""
 
 from fractions import Fraction
-from math import exp, log
+from math import exp, gcd, log
 
 import pytest
+from oracles import construction_by_pairwise_crt
 
 from tuplebounds import polignac
 from tuplebounds.arith import GAMMA, mertens_product, primes_up_to, primorial, to_decimal
-from tuplebounds.errors import DomainError, ResourceLimitError
+from tuplebounds.errors import DomainError, RegressionFailure, ResourceLimitError
 from tuplebounds.tuples import is_admissible
 
 ETA49 = Fraction(229323571200, 81013146586099)
@@ -131,12 +132,41 @@ def test_construction_residues_hit_targets():
         assert got == want
 
 
+SMALL_CONSTRUCTIONS = [(ell, y) for ell in range(2, 41) for y in range(1, ell)]
+
+
 def test_construction_is_admissible_tuple():
-    for ell in range(2, 10):
-        for y in range(1, ell):
-            b = polignac.build_construction(ell, y)
-            assert len(b.elements) == ell
-            assert is_admissible(b.elements)
+    # The self-check's coprimality certificate and is_admissible agree.
+    for ell, y in SMALL_CONSTRUCTIONS:
+        b = polignac.build_construction(ell, y)
+        assert len(b.elements) == ell
+        assert all(gcd(e, b.M) == 1 for e in b.elements)
+        assert is_admissible(b.elements)
+
+
+def test_construction_closed_forms_match_pairwise_crt():
+    for ell, y in [*SMALL_CONSTRUCTIONS, (300, 150)]:
+        b = polignac.build_construction(ell, y)
+        assert (b.B1, b.B2) == construction_by_pairwise_crt(ell, y, b.h, b.q), (ell, y)
+
+
+@pytest.mark.parametrize("ell, y", [(4, 2), (7, 3), (12, 5), (40, 20)])
+def test_construction_self_check_rejects_a_slot_in_class_0_mod_2(monkeypatch, ell, y):
+    # Adding M/2 (odd, 0 mod every odd prime <= ell) moves the first B2
+    # slot from class 1 to class 0 mod 2 and keeps its other residues.
+    # Every other element is odd, so both classes mod 2 are then hit.
+    bundle = polignac.ConstructionBundle
+
+    def mutant(**fields):
+        B2 = (fields["B2"][0] + fields["M"] // 2,) + fields["B2"][1:]
+        return bundle(**{**fields, "B2": B2})
+
+    b = mutant(**vars(polignac.build_construction(ell, y)))
+    assert not is_admissible(b.elements)
+    assert any(gcd(e, b.M) != 1 for e in b.elements)
+    monkeypatch.setattr(polignac, "ConstructionBundle", mutant)
+    with pytest.raises(RegressionFailure, match="not admissible"):
+        polignac.build_construction(ell, y)
 
 
 def test_construction_domain_and_search_cap(monkeypatch):

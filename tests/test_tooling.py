@@ -1,10 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tuplebounds"
@@ -113,3 +116,17 @@ def test_numpy_is_never_loaded_by_the_package():
     assert probe["after_cli"] is False
     assert probe["oracle"] == "1/4"
     assert probe["after_oracle"] is False
+
+
+def test_large_construction_and_first_k_answer_in_seconds():
+    # The closed forms answer these in well under a second each; the
+    # per-prime CRT fold and the gcd scan took 7 s and over 90 s.
+    from tuplebounds import cli
+
+    for argv in (["construct", "--ell", "4000", "--y", "2000"], ["first-k", "--k", "100000"]):
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+        assert code == 0, argv
+        assert elapsed < 3.0, (argv, elapsed)

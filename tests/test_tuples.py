@@ -4,9 +4,9 @@ import random
 from math import gcd
 
 import pytest
-from oracles import enumerate_sample_space
+from oracles import enumerate_sample_space, first_k_by_gcd_scan
 
-from tuplebounds.arith import primes_up_to, primorial
+from tuplebounds.arith import MAX_SIEVE_LIMIT, primes_up_to, primorial
 from tuplebounds.errors import DomainError, ResourceLimitError
 from tuplebounds.tuples import (
     IntTuple,
@@ -132,4 +132,21 @@ def test_first_k_admissible_values():
     assert first_k_admissible(5).elements == (1, 7, 11, 13, 17)
     for k in range(1, 26):
         assert is_admissible(first_k_admissible(k))
+
+
+def test_first_k_admissible_matches_gcd_scan():
+    for k in [*range(1, 501), 2000, 5000]:
+        assert first_k_admissible(k).elements == first_k_by_gcd_scan(k), k
+
+
+# The largest k whose tuple, 1 and the first k-1 primes above k, ends
+# under the sieve cap; pi(10^7) = 664579 and pi(614395) = 50185.
+LAST_K_UNDER_CAP = 614_395
+
+
+def test_first_k_admissible_answers_up_to_the_sieve_cap():
+    h = first_k_admissible(LAST_K_UNDER_CAP)
+    assert len(h) == LAST_K_UNDER_CAP and h[-1] <= MAX_SIEVE_LIMIT
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        first_k_admissible(LAST_K_UNDER_CAP + 1)
 
