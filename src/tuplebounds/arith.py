@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
 from math import floor, isqrt
 
 from .errors import DomainError, ResourceLimitError
@@ -38,15 +39,13 @@ _cached_limit = 0
 _cached_primes: tuple[int, ...] = ()
 
 
-def _sieve(limit: int) -> list[int]:
+def _sieve(limit: int) -> tuple[int, ...]:
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    p = 2
-    while p * p <= limit:
+    for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-        p += 1
-    return [i for i in range(limit + 1) if flags[i]]
+    return tuple(compress(range(limit + 1), flags))
 
 
 def _sieve_through(n: int) -> tuple[int, ...]:
@@ -58,7 +57,7 @@ def _sieve_through(n: int) -> tuple[int, ...]:
         raise ResourceLimitError(f"sieve bound {n} exceeds cap {MAX_SIEVE_LIMIT}")
     if n > _cached_limit:
         target = min(max(n, 2 * _cached_limit, 1024), MAX_SIEVE_LIMIT)
-        _cached_primes = tuple(_sieve(target))
+        _cached_primes = _sieve(target)
         _cached_limit = target
     return _cached_primes
 
@@ -91,10 +90,7 @@ def primorial_totient(n: int) -> int:
 
 def mertens_product(n: int) -> Fraction:
     """Exact ``prod_{p <= n} (1 - 1/p)``; equals 1 for ``n < 2``."""
-    out = Fraction(1)
-    for p in primes_up_to(n):
-        out *= Fraction(p - 1, p)
-    return out
+    return Fraction(primorial_totient(n), primorial(n))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -199,13 +195,12 @@ def to_decimal(x: Fraction, sig_digits: int) -> str:
     neg = x < 0
     a, b = abs(x.numerator), x.denominator
 
-    # Locate e with 10^e <= a/b < 10^(e+1); the length guess is off by
-    # at most one either way.
+    # Locate e with 10^e <= a/b < 10^(e+1).  With la and lb digits,
+    # 10^(la-1) <= a < 10^la and 10^(lb-1) <= b < 10^lb, so a/b lies in
+    # (10^(la-lb-1), 10^(la-lb+1)): e is la - lb, or one less if a/b < 10^(la-lb).
     e = len(int_to_str(a)) - len(int_to_str(b))
-    while _cmp_pow10(a, b, e) < 0:
+    if (a * 10**-e < b) if e < 0 else (a < b * 10**e):
         e -= 1
-    while _cmp_pow10(a, b, e + 1) >= 0:
-        e += 1
 
     shift = sig_digits - 1 - e
     if shift >= 0:
@@ -231,17 +226,6 @@ def to_decimal(x: Fraction, sig_digits: int) -> str:
         mant = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
         body = f"{mant}e{'+' if e >= 0 else '-'}{abs(e)}"
     return "-" + body if neg else body
-
-
-def _cmp_pow10(a: int, b: int, e: int) -> int:
-    """Sign of ``a/b - 10^e`` for positive ``a``, ``b``."""
-    if e >= 0:
-        rhs = b * 10**e
-        lhs = a
-    else:
-        lhs = a * 10**-e
-        rhs = b
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def exp_to_decimal(t: float) -> str:

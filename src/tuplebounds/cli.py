@@ -56,12 +56,14 @@ def _bound(a: argparse.Namespace, name: str, value: Fraction, formula: str = "",
 def _json(a: argparse.Namespace, value: object) -> object:
     """``value`` rendered for an envelope, recursively.
 
-    A ``Fraction`` becomes :func:`rational_to_json` at ``a.sig_digits``,
-    a dataclass its fields in order, a dict the same dict with ``str``
-    keys, a tuple or list a list, and a plain int is refused past the
-    int->str digit limit; anything else (a bool, None, a float, a str)
-    passes through unchanged.
+    A plain int is refused past the int->str digit limit, a ``Fraction``
+    becomes :func:`rational_to_json` at ``a.sig_digits``, a dataclass its
+    fields in order, a dict the same dict with ``str`` keys, and a tuple
+    or list a list; anything else (a bool, None, a float, a str) passes
+    through unchanged.
     """
+    if type(value) is int:
+        return check_str_digits(value)
     if isinstance(value, Fraction):
         return rational_to_json(value, a.sig_digits)
     if is_dataclass(value):
@@ -70,8 +72,6 @@ def _json(a: argparse.Namespace, value: object) -> object:
         return {str(k): _json(a, v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
         return [_json(a, v) for v in value]
-    if type(value) is int:
-        return check_str_digits(value)
     return value
 
 
@@ -276,7 +276,7 @@ def _counting_bound(a: argparse.Namespace) -> list:
     denominator could not be printed: a power of a reduced fraction is
     reduced, so that denominator is d^m, d the one of phi(R)/(kR)."""
     if 1 <= a.m <= a.k:
-        base = Fraction(arith.primorial_totient(a.k), a.k * arith.primorial(a.k))
+        base = arith.mertens_product(a.k) / a.k
         arith.check_power_digits(base.denominator, a.m)
     return [_bound(a, "counting_power_bound", plausible.counting_power_bound(a.m, a.k),
                    "(phi(R) / (k R))^m with R = primorial(k)", m=a.m, k=a.k)]
@@ -420,21 +420,16 @@ class Command:
     inside it is a mutually exclusive group.  ``run(args)`` returns the
     results list, or a ``(results, extra, code)`` triple whose ``extra``
     keys are appended to the envelope.  The envelope's parameters echo
-    every flag but ``--csv``, with ``seed`` and ``shards`` lifted to the
-    top level; an ``extra["parameters"]`` replaces them.
+    the parsed namespace but ``--csv``, which is in flag order (argparse
+    sets every default in action order before parsing), with ``seed``
+    and ``shards`` lifted to the top level; an ``extra["parameters"]``
+    replaces them.
     """
 
     help: str
     flags: tuple
     run: Callable[[argparse.Namespace], list | tuple[list, dict, int]]
     notes: tuple[str, ...] = ()
-
-    @property
-    def dests(self) -> list[str]:
-        specs = [s for f in self.flags for s in (f if isinstance(f, list) else [f])]
-        return list(
-            dict.fromkeys(kw.get("dest", name[2:].replace("-", "_")) for name, kw in specs)
-        )
 
 
 # The table order is the order argparse lists the subcommands in.
@@ -574,7 +569,7 @@ def _envelope(command: str, args: argparse.Namespace) -> tuple[dict, int]:
     out = cmd.run(args)
     results, extra, code = (out, {}, 0) if isinstance(out, list) else out
     parameters = extra.pop("parameters", None) or {
-        dest: getattr(args, dest) for dest in cmd.dests if dest != "csv"
+        dest: value for dest, value in vars(args).items() if dest not in ("command", "csv")
     }
     seed, shards = parameters.pop("seed", None), parameters.pop("shards", None)
     env = envelope(command, parameters, results, seed=seed, shards=shards, notes=cmd.notes)
@@ -617,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         env, code = _envelope(args.command, args)
     except tuple(_FAILURES) as exc:
-        kind, code = next(_FAILURES[cls] for cls in _FAILURES if isinstance(exc, cls))
+        kind, code = _FAILURES[type(exc)]
         error = {"kind": kind, "type": type(exc).__name__, "message": str(exc)}
         env = {"version": VERSION, "error": error}
     # Rendered whole before writing: strict JSON (no NaN or Infinity) or nothing.

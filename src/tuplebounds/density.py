@@ -213,11 +213,8 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
     if p * log(m) > m:  # p > m / log m, without a float past range at huge m
         raise DomainError(f"p={p} is above m/log m = {m / log(m):.3f}")
     j_max = min(m - 1, p - 1)
-    ratios: dict[int, Fraction] = {}
-    for j in range(1, j_max):
-        num = comb(p, j) * (p - j) ** m
-        den = comb(p, j + 1) * (p - j - 1) ** m
-        ratios[j] = Fraction(num, den)
+    terms = [comb(p, j) * (p - j) ** m for j in range(1, j_max + 1)]
+    ratios = {j: Fraction(terms[j - 1], terms[j]) for j in range(1, j_max)}
     threshold = 2.0 * log(m)
     all_above = all(r >= threshold for r in ratios.values())
     return SummandRatioReport(ratios=ratios, threshold=threshold, all_above=all_above)

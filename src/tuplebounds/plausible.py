@@ -154,7 +154,7 @@ def counting_power_bound(m: int, k: int) -> Fraction:
     """Exact (phi(R)/(k*R))^m with R the primorial of k."""
     if m < 1 or k < m:
         raise DomainError(f"need k >= m >= 1, got m={m}, k={k}")
-    return Fraction(arith.primorial_totient(k), k * arith.primorial(k)) ** m
+    return (arith.mertens_product(k) / k) ** m
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,6 @@ class CoprimeWindowSampler:
 
     def draw(self) -> int:
         R = self.space.R
-        if R == 1:
-            return self.rng.randrange(-self.space.x + 1, self.space.x + 1)
         getrandbits = self.rng.getrandbits
         u = 0
         for n, bits, e_p in self._units:
@@ -87,7 +85,9 @@ class CoprimeWindowSampler:
         r = getrandbits(bits)
         while r >= n:
             r = getrandbits(bits)
-        return u % R + (r - self.N) * R
+        # u is a unit mod R, so (u - 1) % R + 1 is u % R; at R = 1 it is 1, and this
+        # is randrange(-x + 1, x + 1), as test_draw_matches_oracle_stream[1] pins.
+        return (u - 1) % R + 1 + (r - self.N) * R
 
     def draw_distinct(self, m: int) -> tuple[int, ...]:
         """m distinct elements, uniform over m-subsets, sorted.

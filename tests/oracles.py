@@ -1,5 +1,6 @@
 """Oracles shared by the test modules."""
 
+from fractions import Fraction
 from math import gcd
 
 from tuplebounds.arith import primes_up_to, primorial
@@ -14,6 +15,17 @@ def enumerate_sample_space(space: SampleSpace, budget: int = MAX_ELEMENTS) -> li
     if space.size > budget:
         raise ResourceLimitError(f"window holds {space.size} elements, budget is {budget}")
     return [n for n in range(-space.x + 1, space.x + 1) if gcd(n, space.R) == 1]
+
+
+def mertens_by_fraction_loop(n: int) -> list[Fraction]:
+    """``prod_{p <= i} (1 - 1/p)`` for every i in [0, n], one Fraction step per prime."""
+    primes = set(primes_up_to(n))
+    out, product = [], Fraction(1)
+    for i in range(n + 1):
+        if i in primes:
+            product *= Fraction(i - 1, i)
+        out.append(product)
+    return out
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

@@ -9,6 +9,7 @@ from math import exp, gcd, isqrt, log
 
 import numpy as np
 import pytest
+from oracles import mertens_by_fraction_loop
 
 from tuplebounds import arith
 from tuplebounds.errors import DomainError, ResourceLimitError
@@ -61,6 +62,12 @@ def test_mertens_product_values():
     for n in range(1, 31):
         r = arith.primorial(n)
         assert arith.mertens_product(n) == Fraction(arith.totient(r), r)
+
+
+def test_mertens_product_matches_fraction_loop():
+    expected = mertens_by_fraction_loop(10_007)
+    for n in [*range(3001), 9973, 10_007]:
+        assert arith.mertens_product(n) == expected[n], n
 
 
 def test_factorize():
@@ -220,6 +227,44 @@ def test_to_decimal_round_trip_error_bound():
         assert 2 * err <= ulp
 
 
+def _exponent(a, b):
+    # floor(log10(a/b)) for positive a, b, from integer quotients alone.
+    if a >= b:
+        return len(str(a // b)) - 1
+    return -len(str((b - 1) // a))  # smallest k with a * 10**k >= b
+
+
+def test_to_decimal_exponent_at_powers_of_ten():
+    """Exactly sig significant digits, leading digit nonzero, within half an ulp,
+    at 10^e and on either side of it, for operands of 1 to 400 digits."""
+    rng = random.Random(13)
+    guess_right = guess_high = 0
+    for _ in range(600):
+        d = rng.randrange(0, 200)
+        lb = rng.randrange(0, 200)
+        b = rng.choice([10**lb, rng.randrange(1, 10 ** (lb + 1))])
+        near = [Fraction(b * 10**d + t, b) for t in (-1, 0, 1) if b * 10**d + t > 0]
+        for x in near + [1 / v for v in near]:
+            a, den = x.numerator, x.denominator
+            e = _exponent(a, den)
+            assert len(str(a)) <= 400 and len(str(den)) <= 400
+            if len(str(a)) - len(str(den)) == e:
+                guess_right += 1
+            else:
+                assert len(str(a)) - len(str(den)) == e + 1
+                guess_high += 1
+            sig = rng.randrange(1, 30)
+            rendered = Decimal(arith.to_decimal(x, sig))
+            digits = rendered.as_tuple().digits
+            assert digits[0] != 0
+            if len(digits) > sig:  # a positional integer, padded with zeros
+                assert rendered.as_tuple().exponent == 0 and not any(digits[sig:])
+            else:
+                assert len(digits) == sig, (x, sig, rendered)
+            assert 2 * abs(Fraction(rendered) - x) <= Fraction(10) ** (e - sig + 1), (x, sig)
+    assert guess_right and guess_high
+
+
 def test_to_decimal_sign_symmetry():
     rng = random.Random(5)
     for _ in range(200):
@@ -241,6 +286,11 @@ def test_exp_to_decimal_far_outside_float_range():
     mant, exp_part = tiny.split("e")
     assert 1.0 <= float(mant) < 10.0
     assert int(exp_part) < -60_000
+
+
+def test_exp_to_decimal_carries_a_rounded_up_mantissa():
+    # 9.9999996 rounds to a mantissa of 10, which carries into the exponent.
+    assert arith.exp_to_decimal(log(9.9999996)) == "1.00000e+1"
 
 
 def test_rational_to_json_shape():

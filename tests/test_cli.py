@@ -100,6 +100,19 @@ def test_rho_adm_mc_deterministic(capsys):
     assert env["seed"] == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ["lll-survival", "--shards", "2", "--trials", "20", "--k", "6", "--m", "2"],
+    ["mc-f-stats", "--cprime", "3", "--c", "1.5", "--samples", "20", "--k", "6", "--m", "2"],
+])
+def test_parameters_follow_flag_order_not_argv_order(capsys, argv):
+    # The echo is the parsed namespace, which argparse fills in flag order.
+    code, env = run(capsys, *argv)
+    assert code == 0
+    spec = [name for name, _ in cli.COMMANDS[argv[0]].flags]
+    dests = [n[2:].replace("-", "_") for n in spec if n[2:] not in ("seed", "shards", "csv")]
+    assert list(env["parameters"]) == dests
+
+
 def _strict_json(text):
     def refuse(constant):
         raise AssertionError(f"non-strict JSON constant {constant}")

@@ -1,5 +1,6 @@
 """Pair-density bounds and the covering construction."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import exp, gcd, log
 
@@ -188,6 +189,14 @@ def test_verify_construction_full_grid():
             assert chk.counterexample is None
             assert chk.density_count == chk.density_expected
             assert chk.density_expected == int(b.A_density * b.q * b.r)
+
+
+@pytest.mark.parametrize(("ell", "y", "counterexample", "checked"), [(5, 2, 13, 7), (8, 4, 25, 9)])
+def test_verify_construction_finds_an_uncovered_element(ell, y, counterexample, checked):
+    # Without its last B1 element the construction leaves a gap in the period.
+    b = polignac.build_construction(ell, y)
+    chk = polignac.verify_construction(replace(b, B1=b.B1[:-1]))
+    assert (chk.ok, chk.counterexample, chk.checked) == (False, counterexample, checked)
 
 
 def test_verify_density_matches_closed_form():
