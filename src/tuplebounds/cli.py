@@ -209,17 +209,8 @@ def _bundle_json(a: argparse.Namespace, bundle: polignac.ConstructionBundle) -> 
     return _record(a, "construction", **fields, elements=bundle.elements, A_density=A_density)
 
 
-def _build(a: argparse.Namespace) -> polignac.ConstructionBundle:
-    """``build_construction(ell, y)``, refused before the build if v*M
-    could not be printed: the v + 1 elements of B1 are distinct, 1 mod
-    M = primorial(ell) and in [0, q*M), so the largest exceeds v*M."""
-    if 1 <= a.y < a.ell:
-        check_str_digits((a.ell - a.y) * arith.primorial(a.ell))
-    return polignac.build_construction(a.ell, a.y)
-
-
 def _construct(a: argparse.Namespace) -> list | tuple[list, dict, int]:
-    bundle = _build(a)
+    bundle = polignac.build_construction(a.ell, a.y)
     results = [_bundle_json(a, bundle)]
     if not a.verify:
         return results
@@ -228,7 +219,7 @@ def _construct(a: argparse.Namespace) -> list | tuple[list, dict, int]:
 
 
 def _pintz(a: argparse.Namespace) -> list:
-    bundle = _build(a)
+    bundle = polignac.build_construction(a.ell, a.y)
     constant = polignac.pintz_interval_constant(bundle, a.k2)
     decimal = to_decimal(Fraction(constant), a.sig_digits)
     return [
@@ -249,57 +240,6 @@ def _delta_chain(a: argparse.Namespace) -> list:
     if cong is not None:
         fields.update(congruence_upper=cong.density, q=cong.q)
     return [_record(a, "delta_m_chain", m=a.m, c=a.c, **fields)]
-
-
-def _summand_ratio(a: argparse.Namespace) -> list:
-    """``summand_ratio_check(m, p)``, refused before the ratios if the
-    first could not be printed: for p, m >= 3 it is 2(p-1)^(m-1) / (p-2)^m
-    in lowest terms."""
-    if a.m >= 3 and arith.is_prime(a.p) and a.p >= 3 and a.p * math.log(a.m) <= a.m:
-        arith.check_power_digits(a.p - 1, a.m - 1)
-        arith.check_power_digits(a.p - 2, a.m)
-    return [_record(a, "summand_ratios", **vars(density.summand_ratio_check(a.m, a.p)))]
-
-
-def _lll_check(a: argparse.Namespace) -> list:
-    """``lll_parameters(m, k)``, refused before the binomials if the
-    dependency degree's C(n, r), n = k - 1 and r = m - 1, could not be
-    printed: C(n, r) = C(n, n - r) >= (n // r')^r' for r' = min(r, n - r)."""
-    r = min(a.m - 1, a.k - a.m)
-    if a.m >= 2 and r >= 1:
-        arith.check_power_digits((a.k - 1) // r, r)
-    return [_record(a, "lll_parameters", **vars(plausible.lll_parameters(a.m, a.k)))]
-
-
-def _counting_bound(a: argparse.Namespace) -> list:
-    """``counting_power_bound(m, k)``, refused before the power if its
-    denominator could not be printed: a power of a reduced fraction is
-    reduced, so that denominator is d^m, d the one of phi(R)/(kR)."""
-    if 1 <= a.m <= a.k:
-        base = arith.mertens_product(a.k) / a.k
-        arith.check_power_digits(base.denominator, a.m)
-    return [_bound(a, "counting_power_bound", plausible.counting_power_bound(a.m, a.k),
-                   "(phi(R) / (k R))^m with R = primorial(k)", m=a.m, k=a.k)]
-
-
-def _birthday(a: argparse.Namespace) -> list:
-    """``birthday_prob_exact(m, p)``, refused before the product if its
-    denominator could not be printed.
-
-    For m < p the product is (p-2)! / ((p-1-m)! (p-1)^(m-1)), so for each
-    prime r with r^e exactly dividing p - 1 its reduced denominator holds
-    r^(e(m-1) - v), v the exponent of r in (p-2)!/(p-1-m)!.  It divides
-    (p-1)^(m-1): only a bound past the limit is analysed.
-    """
-    m, p = a.m, a.p
-    if m < p and 0 < 4 * arith.max_str_digits() < (m - 1) * (p - 1).bit_length():
-        if arith.is_prime(p):
-            for r, e in arith.factorize(p - 1):
-                # Legendre's formula: n! holds r^(n//r + n//r^2 + ...).
-                v = sum((p - 2) // r**i - (p - 1 - m) // r**i for i in range(1, p.bit_length()))
-                arith.check_power_digits(r, e * (m - 1) - v)
-    return [_bound(a, "birthday_prob", stochastic.birthday_prob_exact(m, p),
-                   "product over i < m of (1 - i/(p-1))", m=m, p=p)]
 
 
 def _summary(values: list[float]) -> dict:
@@ -461,7 +401,7 @@ COMMANDS: dict[str, Command] = {
     "summand-ratio": Command(
         "consecutive-term ratios of the density sum at (m, p)",
         (_M, _P, _SIG),
-        _summand_ratio,
+        lambda a: [_record(a, "summand_ratios", **vars(density.summand_ratio_check(a.m, a.p)))],
     ),
     "eta": Command(
         "pair-density bounds at a given ell",
@@ -491,12 +431,15 @@ COMMANDS: dict[str, Command] = {
     "lll-check": Command(
         "local-lemma parameter identities at (m, k)",
         (_M, _K, _SIG),
-        _lll_check,
+        lambda a: [_record(a, "lll_parameters", **vars(plausible.lll_parameters(a.m, a.k)))],
     ),
     "counting-bound": Command(
         "counting bound (phi(R)/(kR))^m",
         (_M, _K, _SIG),
-        _counting_bound,
+        lambda a: [
+            _bound(a, "counting_power_bound", plausible.counting_power_bound(a.m, a.k),
+                   "(phi(R) / (k R))^m with R = primorial(k)", m=a.m, k=a.k)
+        ],
     ),
     "delta-chain": Command(
         "k_m chain fed into the q-search",
@@ -534,7 +477,10 @@ COMMANDS: dict[str, Command] = {
     "birthday": Command(
         "exact P(all m residues distinct) mod p",
         (_M, _P, _SIG),
-        _birthday,
+        lambda a: [
+            _bound(a, "birthday_prob", stochastic.birthday_prob_exact(a.m, a.p),
+                   "product over i < m of (1 - i/(p-1))", m=a.m, p=a.p)
+        ],
     ),
     "translation-count": Command(
         "translation classes meeting the coprime window",

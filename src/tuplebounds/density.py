@@ -20,7 +20,7 @@ from functools import reduce
 from math import comb, exp, log
 from operator import and_, or_
 
-from .arith import GAMMA, exp_to_decimal, is_prime, primes_up_to
+from .arith import GAMMA, check_power_digits, exp_to_decimal, is_prime, primes_up_to
 from .errors import DomainError, ResourceLimitError
 from .stochastic import shard_streams
 from .tuples import is_admissible
@@ -212,6 +212,11 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
         raise DomainError(f"m must be >= 3, got {m}")
     if p * log(m) > m:  # p > m / log m, without a float past range at huge m
         raise DomainError(f"p={p} is above m/log m = {m / log(m):.3f}")
+    if p >= 3:
+        # Refused before the terms if the first ratio, 2(p-1)^(m-1) / (p-2)^m
+        # in lowest terms, could not be printed.
+        check_power_digits(p - 1, m - 1)
+        check_power_digits(p - 2, m)
     j_max = min(m - 1, p - 1)
     terms = [comb(p, j) * (p - j) ** m for j in range(1, j_max + 1)]
     ratios = {j: Fraction(terms[j - 1], terms[j]) for j in range(1, j_max)}

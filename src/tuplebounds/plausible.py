@@ -154,7 +154,11 @@ def counting_power_bound(m: int, k: int) -> Fraction:
     """Exact (phi(R)/(k*R))^m with R the primorial of k."""
     if m < 1 or k < m:
         raise DomainError(f"need k >= m >= 1, got m={m}, k={k}")
-    return (arith.mertens_product(k) / k) ** m
+    base = arith.mertens_product(k) / k
+    # A power of a reduced fraction is reduced, so the denominator is that
+    # of the base to the m: refused before the power if it could not print.
+    arith.check_power_digits(base.denominator, m)
+    return base**m
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,11 @@ def lll_parameters(m: int, k: int) -> LLLParameters:
         raise DomainError(f"m must be >= 2, got {m}")
     if k < m:
         raise DomainError(f"k must be >= m, got k={k}, m={m}")
+    # Refused before the binomials if d's C(k-1, m-1) could not be printed:
+    # C(n, s) = C(n, n-s) >= (n // r)^r for r = min(s, n-s), n = k-1, s = m-1.
+    r = min(m - 1, k - m)
+    if r >= 1:
+        arith.check_power_digits((k - 1) // r, r)
     n = comb(k, 2) + comb(k, m)
     d = 2 * m * comb(k - 1, m - 1)
     p = Fraction(1, 4 * d)

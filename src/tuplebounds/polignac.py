@@ -125,6 +125,9 @@ def build_construction(ell: int, y: int) -> ConstructionBundle:
     v = ell - y
     r = arith.primorial(y)
     M = arith.primorial(ell)
+    # Refused before the build if v*M could not print: B1's v + 1 elements
+    # are distinct, 1 mod M and in [0, q*M), so the largest exceeds v*M.
+    arith.check_str_digits(v * M)
 
     q = 0
     h = 0
@@ -223,9 +226,12 @@ def pintz_interval_constant(bundle: ConstructionBundle, k2: int) -> int:
 
     Every interval of this length contains a difference realized by the
     underlying maximal-set argument; the value is astronomically large
-    and exact.
+    and exact.  Each prime p is at least 2^(p.bit_length() - 1), so the
+    sum of those exponents over p <= k2 bounds log2 primorial(k2) below:
+    refusing by it before the product is never premature.
     """
     if k2 < 1:
         raise DomainError(f"k2 must be >= 1, got {k2}")
+    arith.check_power_digits(2, sum(p.bit_length() - 1 for p in arith.primes_up_to(k2)))
     elems = bundle.elements
     return arith.primorial(k2) + elems[-1] - elems[0]

@@ -31,7 +31,7 @@ from typing import Iterator
 
 from . import arith
 from .errors import DomainError, ResourceLimitError
-from .tuples import IntTuple, SampleSpace, residue_count
+from .tuples import IntTuple, coprime_window, residue_count
 
 TRANSLATION_SCAN_BUDGET = 20_000_000
 CHERNOFF_BUDGET = 10**9
@@ -46,6 +46,16 @@ def birthday_prob_exact(m: int, p: int) -> Fraction:
         raise DomainError(f"p must be an odd prime, got {p}")
     if m >= p:
         return Fraction(0)
+    # Refused before the product if its denominator could not be printed.
+    # The product is (p-2)! / ((p-1-m)! (p-1)^(m-1)), so for each prime r
+    # with r^e exactly dividing p - 1 its reduced denominator holds
+    # r^(e(m-1) - v), v the exponent of r in (p-2)!/(p-1-m)!.  It divides
+    # (p-1)^(m-1): only a bound past the limit is analysed.
+    if 0 < 4 * arith.max_str_digits() < (m - 1) * (p - 1).bit_length():
+        for r, e in arith.factorize(p - 1):
+            # Legendre's formula: n! holds r^(n//r + n//r^2 + ...).
+            v = sum((p - 2) // r**i - (p - 1 - m) // r**i for i in range(1, p.bit_length()))
+            arith.check_power_digits(r, e * (m - 1) - v)
     return Fraction(perm(p - 2, m - 1), (p - 1) ** (m - 1))
 
 
@@ -59,10 +69,8 @@ class CoprimeWindowSampler:
     """
 
     def __init__(self, k: int, x: int, rng: random.Random):
-        self.space = SampleSpace(x=x, k=k)
-        self.rng = rng
-        self.N = x // self.space.R
-        R = self.space.R
+        R, self.size = coprime_window(x, k)
+        self.R, self.N, self.rng = R, x // R, rng
         # draw() inlines each _randbelow(n) from its (n, n.bit_length()):
         # randrange(1, p) is 1 + _randbelow(p - 1) and randrange(-N, N)
         # is -N + _randbelow(2N).  Each CRT weight is 1 mod p and 0 mod R/p.
@@ -73,7 +81,7 @@ class CoprimeWindowSampler:
         self._blocks = (2 * self.N, (2 * self.N).bit_length())
 
     def draw(self) -> int:
-        R = self.space.R
+        R = self.R
         getrandbits = self.rng.getrandbits
         u = 0
         for n, bits, e_p in self._units:
@@ -95,8 +103,8 @@ class CoprimeWindowSampler:
         Redraws the whole batch on a duplicate so that conditioning
         preserves subset uniformity.
         """
-        if not 1 <= m <= self.space.size:
-            raise DomainError(f"requested {m} distinct from population {self.space.size}")
+        if not 1 <= m <= self.size:
+            raise DomainError(f"requested {m} distinct from population {self.size}")
         while True:
             batch = [self.draw() for _ in range(m)]
             if len(set(batch)) == m:
@@ -239,6 +247,8 @@ def chernoff_tail_bound(m: int, k: int, r: float, s: float) -> ChernoffBound:
     product past float range, or primes times m^2 past CHERNOFF_BUDGET
     raises ResourceLimitError.
     """
+    if m < 2:
+        raise DomainError(f"m must be >= 2, got {m}")
     if r < 0 or s < 0:
         raise DomainError(f"need r, s >= 0, got r={r}, s={s}")
     primes = _mid_primes(m, k)
@@ -246,7 +256,9 @@ def chernoff_tail_bound(m: int, k: int, r: float, s: float) -> ChernoffBound:
         raise ResourceLimitError(f"{len(primes)} primes times m^2 exceeds {CHERNOFF_BUDGET}")
     product = 1.0
     for p in primes:
-        p0 = float(birthday_prob_exact(m, p))
+        # float(birthday_prob_exact(m, p)), p > m^2, unprinted so past the
+        # int->str limit too: int / int rounds the exact quotient correctly.
+        p0 = perm(p - 2, m - 1) / (p - 1) ** (m - 1)
         try:
             product *= p0 + (1.0 - p0) * exp(r / p)
         except OverflowError:
@@ -271,7 +283,7 @@ def translation_class_count(h: IntTuple, x: int, k: int) -> TranslationClassCoun
     period and scales by the 2x/R whole periods in the window.  The
     third value is the 3x * prod(1 - n_p/p) comparison bound.
     """
-    R = SampleSpace(x=x, k=k).R
+    R, _ = coprime_window(x, k)
     if 2 * x > TRANSLATION_SCAN_BUDGET:
         raise ResourceLimitError(
             f"scan of {arith.int_to_str(2 * x)} shifts exceeds budget {TRANSLATION_SCAN_BUDGET}"
@@ -321,9 +333,9 @@ def lll_survival_experiment(
         raise DomainError(f"q must be >= 2, got {q}")
     if trials < 1 or not 1 <= shards <= trials:
         raise DomainError(f"bad trials/shards: {trials}/{shards}")
-    probe = SampleSpace(x=x, k=k)
-    if probe.size < 4 * k:
-        raise DomainError(f"population {probe.size} below 4k = {4 * k}")
+    _, size = coprime_window(x, k)
+    if size < 4 * k:
+        raise DomainError(f"population {size} below 4k = {4 * k}")
     survivors = 0
     for rng, n in shard_streams(seed, trials, shards):
         sampler = CoprimeWindowSampler(k, x, rng)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import MAX_SIEVE_LIMIT, primes_up_to, primorial, primorial_totient
 from .errors import DomainError, RegressionFailure
@@ -78,30 +78,16 @@ def is_admissible(h: IntTuple | Collection[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SampleSpace:
-    """Integers in ``(-x, x]`` coprime to ``R``, the primorial of ``k``."""
-
-    x: int
-    k: int
-    R: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"cutoff k must be >= 1, got {self.k}")
-        object.__setattr__(self, "R", primorial(self.k))
-        if self.x <= 0 or self.x % self.R != 0:
-            raise DomainError(f"x={self.x} must be a positive multiple of R={self.R}")
-
-    @property
-    def totient_R(self) -> int:
-        return primorial_totient(self.k)
-
-    @property
-    def size(self) -> int:
-        # Each block of R consecutive integers holds phi(R) units, and
-        # (-x, x] is exactly 2x/R such blocks.
-        return 2 * (self.x // self.R) * self.totient_R
+def coprime_window(x: int, k: int) -> tuple[int, int]:
+    """``(R, size)`` for the integers in ``(-x, x]`` coprime to ``R``, the
+    primorial of ``k``: each block of R consecutive integers holds phi(R)
+    of them, and (-x, x] is exactly 2x/R such blocks."""
+    if k < 1:
+        raise DomainError(f"cutoff k must be >= 1, got {k}")
+    R = primorial(k)
+    if x <= 0 or x % R != 0:
+        raise DomainError(f"x={x} must be a positive multiple of R={R}")
+    return R, 2 * (x // R) * primorial_totient(k)
 
 
 def first_k_admissible(k: int) -> IntTuple:

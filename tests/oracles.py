@@ -5,16 +5,18 @@ from math import gcd
 
 from tuplebounds.arith import primes_up_to, primorial
 from tuplebounds.errors import ResourceLimitError
-from tuplebounds.tuples import SampleSpace
+from tuplebounds.tuples import coprime_window
 
 MAX_ELEMENTS = 1_000_000
 
 
-def enumerate_sample_space(space: SampleSpace, budget: int = MAX_ELEMENTS) -> list[int]:
-    """The window oracle: every member of ``space``, in ascending order."""
-    if space.size > budget:
-        raise ResourceLimitError(f"window holds {space.size} elements, budget is {budget}")
-    return [n for n in range(-space.x + 1, space.x + 1) if gcd(n, space.R) == 1]
+def enumerate_sample_space(x: int, k: int, budget: int = MAX_ELEMENTS) -> list[int]:
+    """The window oracle: every integer in ``(-x, x]`` coprime to the
+    primorial of ``k``, in ascending order."""
+    R, size = coprime_window(x, k)
+    if size > budget:
+        raise ResourceLimitError(f"window holds {size} elements, budget is {budget}")
+    return [n for n in range(-x + 1, x + 1) if gcd(n, R) == 1]
 
 
 def mertens_by_fraction_loop(n: int) -> list[Fraction]:

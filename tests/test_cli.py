@@ -413,6 +413,22 @@ def test_chernoff_budget_admits_m_100_and_refuses_m_300_at_k_a_million():
     assert work(100) <= stochastic.CHERNOFF_BUDGET < work(300)
 
 
+@pytest.mark.parametrize(
+    "m, k, moment_product, tail_bound",
+    [
+        (1000, 1000667, 1.0000204379730755, 0.367886959881556),  # (p - 1) / 2 prime
+        (3000, 9000100, 1.0000002185547274, 0.36787952157323334),
+    ],
+)
+def test_chernoff_uses_birthday_products_past_the_print_limit(capsys, m, k, moment_product, tail_bound):
+    # Inside the budget, yet some p0 has a denominator past 4300 digits:
+    # only its float enters the product, so no int->str limit applies.
+    code, env = run(capsys, "chernoff", "--m", str(m), "--k", str(k), "--r", "1", "--s", "1")
+    assert code == 0
+    r = result_named(env, "chernoff_tail_bound")
+    assert (r["moment_product"], r["tail_bound"]) == (moment_product, tail_bound)
+
+
 _HUGE_MULT = str(10**4299)  # 4300 digits: parses, but times primorial(k >= 5) does not print
 
 
@@ -437,6 +453,8 @@ _HUGE_MULT = str(10**4299)  # 4300 digits: parses, but times primorial(k >= 5) d
         ["summand-ratio", "--m", str(10**9), "--p", "3"],
         ["summand-ratio", "--m", str(10**400), "--p", "3"],  # m / log m overflows a float
         ["lll-check", "--m", str(10**6), "--k", str(10**12)],
+        # primorial(10**6) does not print; the product alone takes seconds.
+        ["pintz", "--ell", "5", "--y", "2", "--k2", "1000000"],
     ],
 )
 def test_raw_ints_past_digit_limit_are_refused_at_once(capsys, argv):
@@ -472,23 +490,56 @@ _POWER_GRID = [
 
 
 def test_power_refusals_are_never_premature(capsys):
-    # Whenever a command refuses a power before computing it, rendering
-    # the library's value would have been refused too.
+    # Whenever a command refuses a power before computing it, the library
+    # call refuses too, and rendering the value it computes with no limit
+    # would have been refused as well.
     a = argparse.Namespace(sig_digits=12)
     refused = set()
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
     try:
         for func, command, m, n in _POWER_GRID:
+            sys.set_int_max_str_digits(640)
             flag = "--p" if command in ("birthday", "summand-ratio") else "--k"
             code, env = run(capsys, command, "--m", str(m), flag, str(n))
             if code == 4 and env["error"]["message"].startswith("a power of over"):
                 refused.add(command)
                 with pytest.raises(ResourceLimitError):
-                    cli._json(a, func(m, n))
+                    func(m, n)
+                sys.set_int_max_str_digits(0)
+                value = func(m, n)
+                sys.set_int_max_str_digits(640)
+                with pytest.raises(ResourceLimitError):
+                    cli._json(a, value)
     finally:
         sys.set_int_max_str_digits(old)
     assert refused == {command for _, command, _, _ in _POWER_GRID}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # Refused cases of _POWER_GRID.
+        lambda: stochastic.birthday_prob_exact(382, 383),
+        lambda: density.summand_ratio_check(2562, 5),
+        lambda: plausible.counting_power_bound(59, 59),
+        lambda: plausible.lll_parameters(2596, 6000),
+        # v*M = 1512 * primorial(1513) has 642 digits.
+        lambda: polignac.build_construction(1513, 1),
+        # primorial(3000) has over 1200 digits.
+        lambda: polignac.pintz_interval_constant(polignac.build_construction(5, 2), 3000),
+    ],
+    ids=["birthday", "summand-ratio", "counting-bound", "lll-check", "construct", "pintz"],
+)
+def test_library_refuses_unprintable_values_itself(call):
+    # Each returns in milliseconds with no check; with one, the value that
+    # the envelope could not print is refused before it is computed.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ResourceLimitError, match="int->str limit"):
+            call()
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_construction_fields_past_digit_limit_are_refused(capsys):

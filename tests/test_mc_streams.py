@@ -38,21 +38,21 @@ def _rho_adm_mc_successes(m, range_bound, samples, seed, shards):
     return successes
 
 
-def _draw(sampler):
-    R = sampler.space.R
+def _draw(sampler, k):
+    R, x = sampler.R, sampler.N * sampler.R
     if R == 1:
-        return sampler.rng.randrange(-sampler.space.x + 1, sampler.space.x + 1)
+        return sampler.rng.randrange(-x + 1, x + 1)
     u = 0
-    for p in primes_up_to(sampler.space.k):
+    for p in primes_up_to(k):
         e_p = R // p * pow(R // p, -1, p)
         u += sampler.rng.randrange(1, p) * e_p
     u %= R
     return u + sampler.rng.randrange(-sampler.N, sampler.N) * R
 
 
-def _draw_distinct(sampler, m):
+def _draw_distinct(sampler, k, m):
     while True:
-        batch = [_draw(sampler) for _ in range(m)]
+        batch = [_draw(sampler, k) for _ in range(m)]
         if len(set(batch)) == m:
             return tuple(sorted(batch))
 
@@ -64,7 +64,7 @@ def _f_statistics(m, k, x, samples, seed, shards):
     for rng, n in stochastic.shard_streams(seed, samples, shards):
         sampler = stochastic.CoprimeWindowSampler(k, x, rng)
         for _ in range(n):
-            batch = _draw_distinct(sampler, m)
+            batch = _draw_distinct(sampler, k, m)
             f = Fraction(1)
             x_stat = 0.0
             for p in primes_mid:
@@ -84,7 +84,7 @@ def _survivors(m, k, x, trials, seed, q, shards):
     for rng, n in stochastic.shard_streams(seed, trials, shards):
         sampler = stochastic.CoprimeWindowSampler(k, x, rng)
         for _ in range(n):
-            batch = [_draw(sampler) for _ in range(k)]
+            batch = [_draw(sampler, k) for _ in range(k)]
             if len(set(batch)) != k:
                 continue
             if q is not None and max(Counter(b % q for b in batch).values()) >= m:
@@ -118,14 +118,15 @@ def test_f_statistics_match_fraction_oracle(m, shards):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 12])
 def test_draw_matches_oracle_stream(k):
-    # k = 1 gives R = 1, the sampler's whole-window branch.
+    # k = 1 gives R = 1: the sampler's one formula must reproduce the
+    # oracle's whole-window randrange(-x + 1, x + 1).
     x = 3 * primorial(k)
     fast = stochastic.CoprimeWindowSampler(k, x, random.Random(k))
     slow = stochastic.CoprimeWindowSampler(k, x, random.Random(k))
-    assert [fast.draw() for _ in range(300)] == [_draw(slow) for _ in range(300)]
-    m = min(3, fast.space.size)
+    assert [fast.draw() for _ in range(300)] == [_draw(slow, k) for _ in range(300)]
+    m = min(3, fast.size)
     assert [fast.draw_distinct(m) for _ in range(30)] == [
-        _draw_distinct(slow, m) for _ in range(30)
+        _draw_distinct(slow, k, m) for _ in range(30)
     ]
 
 
@@ -174,5 +175,5 @@ def test_draw_matches_oracle_at_block_index_edges(N):
     fast = stochastic.CoprimeWindowSampler(k, x, random.Random(N))
     slow = stochastic.CoprimeWindowSampler(k, x, random.Random(N))
     assert fast.N == N
-    assert [fast.draw() for _ in range(300)] == [_draw(slow) for _ in range(300)]
+    assert [fast.draw() for _ in range(300)] == [_draw(slow, k) for _ in range(300)]
     assert fast.rng.getstate() == slow.rng.getstate()

@@ -8,9 +8,9 @@ import pytest
 from oracles import enumerate_sample_space
 
 from tuplebounds import stochastic
-from tuplebounds.arith import primorial
+from tuplebounds.arith import primes_up_to, primorial
 from tuplebounds.errors import DomainError, ResourceLimitError
-from tuplebounds.tuples import IntTuple, SampleSpace
+from tuplebounds.tuples import IntTuple, coprime_window
 
 
 def test_birthday_prob_known_values():
@@ -31,17 +31,17 @@ def test_birthday_prob_domain():
 
 
 def test_sampler_draws_only_space_members():
-    space = SampleSpace(x=2 * primorial(5), k=5)
-    pool = set(enumerate_sample_space(space))
-    samp = stochastic.CoprimeWindowSampler(5, space.x, random.Random(1))
+    x = 2 * primorial(5)
+    pool = set(enumerate_sample_space(x, 5))
+    samp = stochastic.CoprimeWindowSampler(5, x, random.Random(1))
     for _ in range(2_000):
         assert samp.draw() in pool
 
 
 def test_sampler_uniform_over_window_3_sigma():
-    space = SampleSpace(x=2 * primorial(5), k=5)
-    pool = enumerate_sample_space(space)
-    samp = stochastic.CoprimeWindowSampler(5, space.x, random.Random(77))
+    x = 2 * primorial(5)
+    pool = enumerate_sample_space(x, 5)
+    samp = stochastic.CoprimeWindowSampler(5, x, random.Random(77))
     n = 6_400
     counts = {v: 0 for v in pool}
     for _ in range(n):
@@ -157,6 +157,19 @@ def test_chernoff_domain():
         stochastic.chernoff_tail_bound(2, 30, -1.0, 0.2)
     with pytest.raises(DomainError):
         stochastic.chernoff_tail_bound(5, 20, 1.0, 0.2)
+    for m in (-2, 0, 1):
+        with pytest.raises(DomainError, match="m must be >= 2"):
+            stochastic.chernoff_tail_bound(m, 30, 1.0, 0.2)
+
+
+@pytest.mark.parametrize("m, k", [(2, 30), (3, 2000), (5, 2000), (12, 3000)])
+def test_chernoff_product_takes_each_birthday_product_as_its_float(m, k):
+    product = 1.0
+    for p in primes_up_to(k):
+        if p > m * m:
+            p0 = float(stochastic.birthday_prob_exact(m, p))
+            product *= p0 + (1.0 - p0) * exp(6.8 / p)
+    assert stochastic.chernoff_tail_bound(m, k, 6.8, 0.2).moment_product == product
 
 
 def test_chernoff_dominates_mc_tails():
@@ -177,9 +190,9 @@ def test_translation_count_frozen_example():
 
 
 def test_translation_count_singleton_is_whole_window():
-    space = SampleSpace(x=6, k=3)
-    rep = stochastic.translation_class_count(IntTuple((0,)), space.x, 3)
-    assert rep.exact_count == space.size == 4
+    _, size = coprime_window(6, 3)
+    rep = stochastic.translation_class_count(IntTuple((0,)), 6, 3)
+    assert rep.exact_count == size == 4
 
 
 def test_translation_count_inadmissible_pattern_is_empty():

@@ -130,3 +130,36 @@ def test_large_construction_and_first_k_answer_in_seconds():
         elapsed = time.perf_counter() - t0
         assert code == 0, argv
         assert elapsed < 3.0, (argv, elapsed)
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    # The names a module-level statement defines.
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_private_module_name_is_read_elsewhere():
+    # A module-level _name that no other statement of the package reads
+    # (its own body aside) is a helper that nothing needs.
+    nodes = [node for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body]
+    reads = [_read_names(node) for node in nodes]
+    unread = [
+        name
+        for i, node in enumerate(nodes)
+        for name in _bound_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert not unread, unread

@@ -10,7 +10,7 @@ from tuplebounds.arith import MAX_SIEVE_LIMIT, primes_up_to, primorial
 from tuplebounds.errors import DomainError, ResourceLimitError
 from tuplebounds.tuples import (
     IntTuple,
-    SampleSpace,
+    coprime_window,
     first_k_admissible,
     is_admissible,
     residue_count,
@@ -90,40 +90,37 @@ def test_admissibility_translation_invariant():
 
 
 def test_sample_space_validation():
-    s = SampleSpace(x=6, k=3)
-    assert (s.x, s.k, s.R) == (6, 3, 6)
-    with pytest.raises(DomainError):
-        SampleSpace(x=5, k=3)  # x not a multiple of R = 6
-    with pytest.raises(DomainError):
-        SampleSpace(x=1, k=0)
+    assert coprime_window(6, 3)[0] == 6
+    with pytest.raises(DomainError, match="multiple of R=6"):
+        coprime_window(5, 3)  # x not a multiple of R = 6
+    with pytest.raises(DomainError, match="cutoff k must be >= 1"):
+        coprime_window(1, 0)
 
 
 def test_sample_space_size_and_density():
-    s = SampleSpace(x=6, k=3)
-    assert s.totient_R == 2
-    assert s.size == 4
-    big = SampleSpace(x=7 * primorial(5), k=5)
+    # R = 6 and phi(R) = 2, over 2x/R = 2 blocks.
+    assert coprime_window(6, 3) == (6, 4)
+    x = 7 * primorial(5)
+    R, size = coprime_window(x, 5)
     # closed form vs direct count
-    assert big.size == sum(1 for n in range(-big.x + 1, big.x + 1) if gcd(n, big.R) == 1)
+    assert size == sum(1 for n in range(-x + 1, x + 1) if gcd(n, R) == 1)
 
 
 def test_enumerate_sample_space_small():
-    s = SampleSpace(x=6, k=3)
-    assert enumerate_sample_space(s) == [-5, -1, 1, 5]
+    assert enumerate_sample_space(6, 3) == [-5, -1, 1, 5]
 
 
 def test_enumerated_space_closed_under_negation():
     for k in (2, 3, 5):
-        s = SampleSpace(x=2 * primorial(k), k=k)
-        members = enumerate_sample_space(s)
-        assert len(members) == s.size
+        x = 2 * primorial(k)
+        members = enumerate_sample_space(x, k)
+        assert len(members) == coprime_window(x, k)[1]
         assert sorted(-n for n in members) == members
 
 
 def test_enumerate_respects_budget():
-    s = SampleSpace(x=100 * primorial(5), k=5)
     with pytest.raises(ResourceLimitError):
-        enumerate_sample_space(s, budget=10)
+        enumerate_sample_space(100 * primorial(5), 5, budget=10)
 
 
 def test_first_k_admissible_values():
