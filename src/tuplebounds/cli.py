@@ -279,7 +279,7 @@ def _translation_count(a: argparse.Namespace) -> list:
     x = _window_x(a)
     rep = stochastic.translation_class_count(h, x, a.k)
     agree = rep.exact_count == rep.crt_predicted
-    return [_record(a, "translation_class_count", tuple=h.elements, x=x,
+    return [_record(a, "translation_class_count", tuple=h, x=x,
                     exact_count=rep.exact_count, crt_predicted=rep.crt_predicted, agree=agree,
                     density_bound=rep.density_bound)]
 
@@ -293,18 +293,15 @@ def _lll_survival(a: argparse.Namespace) -> list:
 
 def _admissible(a: argparse.Namespace) -> list:
     h = _parse_tuple(a.tuple)
-    return [_record(a, "admissible", tuple=h.elements, admissible=is_admissible(h),
+    return [_record(a, "admissible", tuple=h, admissible=is_admissible(h),
                     residue_counts=residue_profile(h, len(h)))]
 
 
 def _parse_tuple(text: str) -> IntTuple:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        return IntTuple.from_iterable(part for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise DomainError(f"cannot parse tuple {text!r}: {exc}") from None
-    if not values:
-        raise DomainError("empty tuple")
-    return IntTuple.from_iterable(values)
 
 
 def _finite_float(text: str) -> float:
@@ -502,9 +499,7 @@ COMMANDS: dict[str, Command] = {
     "first-k": Command(
         "lexicographically first admissible k-tuple",
         (_K,),
-        lambda a: [
-            _record(a, "first_k_admissible", k=a.k, elements=first_k_admissible(a.k).elements)
-        ],
+        lambda a: [_record(a, "first_k_admissible", k=a.k, elements=first_k_admissible(a.k))],
     ),
 }
 

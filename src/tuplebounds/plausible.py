@@ -12,6 +12,7 @@ caller-supplied constants and never asserted.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -19,7 +20,7 @@ from math import ceil, comb, exp, inf, isfinite, isqrt, log
 
 from . import arith
 from .errors import DomainError, RegressionFailure, ResourceLimitError
-from .tuples import IntTuple, is_admissible
+from .tuples import is_admissible
 
 # Mertens-type constant used as the default scale of the congruence
 # display shape; callers may pass any value.
@@ -119,7 +120,7 @@ class PigeonholeWitness:
     members: tuple[int, ...]
 
 
-def verify_pigeonhole(m: int, k: int, q: int, tup: IntTuple) -> PigeonholeWitness:
+def verify_pigeonhole(m: int, k: int, q: int, tup: Collection[int]) -> PigeonholeWitness:
     """Extract m elements of an admissible k-tuple congruent mod q.
 
     The tuple occupies at most phi(q) classes mod q (admissibility gives

@@ -27,11 +27,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd, inf, isfinite, log, perm
-from typing import Iterator
+from typing import Collection, Iterator
 
 from . import arith
 from .errors import DomainError, ResourceLimitError
-from .tuples import IntTuple, coprime_window, residue_count
+from .tuples import coprime_window, residue_profile
 
 TRANSLATION_SCAN_BUDGET = 20_000_000
 CHERNOFF_BUDGET = 10**9
@@ -275,18 +275,21 @@ class TranslationClassCount:
     density_bound: Fraction
 
 
-def translation_class_count(h: IntTuple, x: int, k: int) -> TranslationClassCount:
+def translation_class_count(h: Collection[int], x: int, k: int) -> TranslationClassCount:
     """Count translates of h landing entirely on coprime values.
 
-    exact_count scans every shift in (-x, x] and tests gcd directly;
-    crt_predicted multiplies the free residue counts p - n_p over one
-    period and scales by the 2x/R whole periods in the window.  The
-    third value is the 3x * prod(1 - n_p/p) comparison bound.
+    exact_count scans every shift in (-x, x] and tests gcd directly, up
+    to len(h) gcds per shift, so the scan budget counts shifts times
+    elements; crt_predicted multiplies the free residue counts p - n_p
+    (n_p from :func:`residue_profile`) over one period and scales by the
+    2x/R whole periods in the window.  The third value is the
+    3x * prod(1 - n_p/p) comparison bound.
     """
     R, _ = coprime_window(x, k)
-    if 2 * x > TRANSLATION_SCAN_BUDGET:
+    if 2 * x * len(h) > TRANSLATION_SCAN_BUDGET:
         raise ResourceLimitError(
-            f"scan of {arith.int_to_str(2 * x)} shifts exceeds budget {TRANSLATION_SCAN_BUDGET}"
+            f"scan of {arith.int_to_str(2 * x)} shifts times {len(h)} elements"
+            f" exceeds budget {TRANSLATION_SCAN_BUDGET}"
         )
     exact = 0
     for shift in range(-x + 1, x + 1):
@@ -294,8 +297,7 @@ def translation_class_count(h: IntTuple, x: int, k: int) -> TranslationClassCoun
             exact += 1
     crt = 2 * x // R
     bound = Fraction(3 * x)
-    for p in arith.primes_up_to(k):
-        n_p = residue_count(h, p)
+    for p, n_p in residue_profile(h, k).items():
         crt *= p - n_p
         bound *= Fraction(p - n_p, p)
     return TranslationClassCount(exact_count=exact, crt_predicted=crt, density_bound=bound)

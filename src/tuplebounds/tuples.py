@@ -15,62 +15,41 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Collection
-from dataclasses import dataclass
 
 from .arith import MAX_SIEVE_LIMIT, primes_up_to, primorial, primorial_totient
 from .errors import DomainError, RegressionFailure
 
 
-@dataclass(frozen=True)
-class IntTuple:
-    """Strictly increasing tuple of integers."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise DomainError("tuple must be nonempty")
-        for a, b in zip(self.elements, self.elements[1:]):
-            if a >= b:
-                raise DomainError(f"elements must be strictly increasing, got {a} before {b}")
+class IntTuple(tuple):
+    """A sorted tuple of distinct integers; build it with :meth:`from_iterable`."""
 
     @classmethod
     def from_iterable(cls, values) -> "IntTuple":
+        """The one parser: ints or digit strings, sorted; empty or repeated
+        input is refused."""
         ordered = sorted(int(v) for v in values)
+        if not ordered:
+            raise DomainError("empty tuple")
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise DomainError(f"duplicate element {a}")
-        return cls(tuple(ordered))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
+        return cls(ordered)
 
 
-def residue_count(h: IntTuple, p: int) -> int:
-    """Number of distinct residues of ``h`` modulo ``p``."""
-    if p < 2:
-        raise DomainError(f"modulus must be >= 2, got {p}")
-    return len({e % p for e in h})
+def residue_profile(h: Collection[int], bound: int) -> dict[int, int]:
+    """``{p: n_p}`` for every prime ``p <= bound``, n_p the number of
+    distinct residues of ``h`` mod p."""
+    return {p: len({e % p for e in h}) for p in primes_up_to(bound)}
 
 
-def residue_profile(h: IntTuple, bound: int) -> dict[int, int]:
-    """``{p: residue_count(h, p)}`` for every prime ``p <= bound``."""
-    return {p: residue_count(h, p) for p in primes_up_to(bound)}
-
-
-def is_admissible(h: IntTuple | Collection[int]) -> bool:
+def is_admissible(h: Collection[int]) -> bool:
     """True when ``h`` misses a residue class mod every prime ``p <= len(h)``.
 
     ``h`` is any collection of distinct ints: an :class:`IntTuple`, a
     list or a set alike; order does not matter.  Residues are counted
-    inline, so a Monte Carlo loop can pass each drawn collection straight
-    in, and the first prime whose classes are all hit returns False.
+    inline rather than through :func:`residue_profile`, so a Monte Carlo
+    loop can pass each drawn collection straight in, and the first prime
+    whose classes are all hit returns False.
     """
     for p in primes_up_to(len(h)):
         if len({e % p for e in h}) >= p:

@@ -2,10 +2,10 @@
 
 Each oracle below is the plain form of a loop that the package runs in a
 faster shape: ``rng.sample`` over ``range(-B, B + 1)`` with an
-``IntTuple`` and a per-prime ``residue_count`` for every ``rho_adm_mc``
-sample, a ``Fraction`` product for every f value, and a sampler draw
-that calls ``rng.randrange`` per prime and for the block index.  The
-fast forms call ``rng.getrandbits`` themselves, exactly as
+``IntTuple`` and a residue count per prime, taken inline, for every
+``rho_adm_mc`` sample, a ``Fraction`` product for every f value, and a
+sampler draw that calls ``rng.randrange`` per prime and for the block
+index.  The fast forms call ``rng.getrandbits`` themselves, exactly as
 ``Random._randbelow`` does inside ``sample`` and ``randrange`` (keeping
 ``rng.sample`` only for ranges small enough that ``sample`` may walk a
 pool), and test the offsets in [0, 2B] in place of the values.  Both
@@ -21,11 +21,11 @@ import pytest
 
 from tuplebounds import density, stochastic
 from tuplebounds.arith import primes_up_to, primorial
-from tuplebounds.tuples import IntTuple, is_admissible, residue_count
+from tuplebounds.tuples import IntTuple, is_admissible
 
 
 def _admissible_oracle(h: IntTuple) -> bool:
-    return all(residue_count(h, p) < p for p in primes_up_to(len(h)))
+    return all(len({e % p for e in h}) < p for p in primes_up_to(len(h)))
 
 
 def _rho_adm_mc_successes(m, range_bound, samples, seed, shards):

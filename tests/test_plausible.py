@@ -10,7 +10,7 @@ from test_arith import totients_up_to
 from tuplebounds import plausible
 from tuplebounds.arith import GAMMA, primes_up_to, to_decimal, totient
 from tuplebounds.errors import DomainError, RegressionFailure, ResourceLimitError
-from tuplebounds.tuples import IntTuple, first_k_admissible
+from tuplebounds.tuples import first_k_admissible
 
 # The q-search this package ran before its branch-and-bound search: a
 # totient sieve scanned up to a Rosser-Schoenfeld cutoff.  Kept here,
@@ -186,7 +186,7 @@ def test_pigeonhole_witness_on_dense_tuple():
     assert len(w.members) == 2
     a, b = w.members
     assert a % 210 == b % 210 == w.residue
-    assert set(w.members) <= set(tup.elements)
+    assert set(w.members) <= set(tup)
 
 
 def test_pigeonhole_rejects_bad_inputs():
@@ -195,7 +195,7 @@ def test_pigeonhole_rejects_bad_inputs():
         plausible.verify_pigeonhole(2, 49, 210, tup)  # wrong k
     with pytest.raises(DomainError):
         plausible.verify_pigeonhole(2, 50, 211, tup)  # phi too large
-    bad = IntTuple(tuple(range(50)))  # 0..49 covers Z/2
+    bad = tuple(range(50))  # 0..49 covers Z/2
     with pytest.raises(DomainError):
         plausible.verify_pigeonhole(2, 50, 210, bad)
 

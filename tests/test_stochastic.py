@@ -217,6 +217,13 @@ def test_translation_count_scan_budget():
         stochastic.translation_class_count(IntTuple((0, 2)), 12_000_000, 2)
 
 
+def test_translation_count_scan_budget_counts_elements():
+    # 12000 shifts are few, but each tests up to 2000 gcds: 2.4e7 in all.
+    h = IntTuple.from_iterable(range(0, 12000, 6))
+    with pytest.raises(ResourceLimitError, match="2000 elements"):
+        stochastic.translation_class_count(h, 6000, 3)
+
+
 def test_survival_distinctness_only_matches_exact():
     # no congruence filter: survival is the exact distinctness product
     est = stochastic.lll_survival_experiment(2, 5, 120, 2_000, seed=13)

@@ -59,6 +59,22 @@ def test_benchmark_tracer_hooks_fit_the_package():
     assert density.rho_adm_mc is original
 
 
+def test_benchmark_tuple_requests_pass_their_checks(monkeypatch):
+    # The oracle-verify workload's translation and pigeonhole requests are the
+    # benchmark's only direct callers of IntTuple.from_iterable, and no listed
+    # workload runs them, so one seeded pass runs here through their checks.
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "perfbench"))
+    import workloads
+
+    reqs = [
+        r for r in workloads.build("oracle-verify", workloads.DEFAULT_SEED, 0)
+        if r.key.split()[1] in ("translation", "pigeonhole")
+    ]
+    assert len(reqs) == 34
+    for req in reqs:
+        req.check(req.call())
+
+
 def _imported_modules(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

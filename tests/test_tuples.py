@@ -13,40 +13,47 @@ from tuplebounds.tuples import (
     coprime_window,
     first_k_admissible,
     is_admissible,
-    residue_count,
     residue_profile,
 )
 
 
 def test_int_tuple_requires_strict_increase():
-    IntTuple((0, 2, 6))
-    with pytest.raises(DomainError):
-        IntTuple((0, 2, 2))
-    with pytest.raises(DomainError):
-        IntTuple((3, 1))
-    with pytest.raises(DomainError):
-        IntTuple(())
+    # from_iterable is the one validating parser; IntTuple(...) itself is a
+    # plain tuple constructor and checks nothing.
+    assert IntTuple.from_iterable([3, 1]) == (1, 3)
+    with pytest.raises(DomainError, match="duplicate element 2"):
+        IntTuple.from_iterable([0, 2, 2])
+    with pytest.raises(DomainError, match="empty tuple"):
+        IntTuple.from_iterable([])
 
 
 def test_from_iterable_sorts_and_rejects_duplicates():
-    assert IntTuple.from_iterable([6, 0, 2]).elements == (0, 2, 6)
+    assert IntTuple.from_iterable([6, 0, 2]) == (0, 2, 6)
     with pytest.raises(DomainError):
         IntTuple.from_iterable([1, 1])
 
 
+def test_from_iterable_is_a_sorted_plain_tuple():
+    rng = random.Random(5)
+    for _ in range(100):
+        values = rng.sample(range(-40, 41), rng.randrange(1, 12))
+        h = IntTuple.from_iterable(values)
+        assert isinstance(h, IntTuple) and isinstance(h, tuple)
+        assert h == tuple(sorted(values))
+    assert IntTuple.from_iterable(["6", " -1", "2 "]) == (-1, 2, 6)
+
+
 def test_tuple_accessors():
-    h = IntTuple((-3, 0, 5))
+    h = IntTuple.from_iterable([5, -3, 0])
     assert len(h) == 3
     assert list(h) == [-3, 0, 5]
     assert h[1] == 0
 
 
 def test_residue_count_basics():
-    h = IntTuple((0, 2))
-    assert residue_count(h, 2) == 1
-    assert residue_count(h, 3) == 2
-    with pytest.raises(DomainError):
-        residue_count(h, 1)
+    h = IntTuple.from_iterable([0, 2])
+    assert residue_profile(h, 3) == {2: 1, 3: 2}
+    assert residue_profile(h, 1) == {}
 
 
 def test_residue_profile():
@@ -64,9 +71,9 @@ def test_admissibility_known_examples():
 
 def _admissible_oracle(h):
     # independent re-derivation straight from the definition
-    k = len(h.elements)
+    k = len(h)
     for p in primes_up_to(k):
-        if len({e % p for e in h.elements}) == p:
+        if len({e % p for e in h}) == p:
             return False
     return True
 
@@ -124,16 +131,23 @@ def test_enumerate_respects_budget():
 
 
 def test_first_k_admissible_values():
-    assert first_k_admissible(1).elements == (1,)
-    assert first_k_admissible(3).elements == (1, 5, 7)
-    assert first_k_admissible(5).elements == (1, 7, 11, 13, 17)
+    assert first_k_admissible(1) == (1,)
+    assert first_k_admissible(3) == (1, 5, 7)
+    assert first_k_admissible(5) == (1, 7, 11, 13, 17)
     for k in range(1, 26):
         assert is_admissible(first_k_admissible(k))
 
 
 def test_first_k_admissible_matches_gcd_scan():
     for k in [*range(1, 501), 2000, 5000]:
-        assert first_k_admissible(k).elements == first_k_by_gcd_scan(k), k
+        assert first_k_admissible(k) == first_k_by_gcd_scan(k), k
+
+
+def test_first_k_admissible_is_strictly_increasing():
+    for k in range(1, 301):
+        h = first_k_admissible(k)
+        assert isinstance(h, tuple) and len(h) == k
+        assert all(a < b for a, b in zip(h, h[1:])), k
 
 
 # The largest k whose tuple, 1 and the first k-1 primes above k, ends
