@@ -16,9 +16,9 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import arith, density, plausible, polignac, stochastic
 from .arith import check_str_digits, int_to_str, rational_to_json, to_decimal
@@ -57,16 +57,16 @@ def _json(a: argparse.Namespace, value: object) -> object:
     """``value`` rendered for an envelope, recursively.
 
     A plain int is refused past the int->str digit limit, a ``Fraction``
-    becomes :func:`rational_to_json` at ``a.sig_digits``, a dataclass its
-    fields in order, a dict the same dict with ``str`` keys, and a tuple
-    or list a list; anything else (a bool, None, a float, a str) passes
-    through unchanged.
+    becomes :func:`rational_to_json` at ``a.sig_digits``, a
+    ``SimpleNamespace`` record its fields in order, a dict the same dict
+    with ``str`` keys, and a tuple or list a list; anything else (a bool,
+    None, a float, a str) passes through unchanged.
     """
     if type(value) is int:
         return check_str_digits(value)
     if isinstance(value, Fraction):
         return rational_to_json(value, a.sig_digits)
-    if is_dataclass(value):
+    if isinstance(value, SimpleNamespace):
         return _json(a, vars(value))
     if isinstance(value, dict):
         return {str(k): _json(a, v) for k, v in value.items()}
@@ -152,20 +152,20 @@ def _delta2(a: argparse.Namespace, lower: Fraction) -> dict:
 
 def _delta2_report(a: argparse.Namespace) -> tuple[list, dict, int]:
     lower = polignac.delta2_lower(a.k)
-    # Rendered before the scan, so a value past the digit limit refuses at once.
+    # Rendered before the scan, so a value past the digit limit refuses.
     results = [_delta2(a, lower)]
-    bounds = polignac.eta_bounds(a.k - 1)
     cong = plausible.delta_upper_congruence(2, a.k)
     cpb = plausible.counting_power_bound(2, a.k)
-    if bounds.best_upper is not None:
-        y_best, val = bounds.best_upper
-        formula = f"min over y of mertens_product(y) / ({a.k - 1} - y)"
-        results.append(_bound(a, "best_eta_upper", val, formula, ell=a.k - 1, y=y_best))
     results += [
         _bound(a, "congruence_upper", cong.density, "1 / q^(m-1) at the maximal q", m=2, q=cong.q),
         _bound(a, "counting_power_bound", cpb, "(phi(R) / (k R))^m at m = 2"),
         _bound(a, "lower_over_congruence_upper", lower / cong.density),
     ]
+    bounds = polignac.eta_bounds(a.k - 1)
+    if bounds.best_upper is not None:
+        y_best, val = bounds.best_upper
+        formula = f"min over y of mertens_product(y) / ({a.k - 1} - y)"
+        results.insert(1, _bound(a, "best_eta_upper", val, formula, ell=a.k - 1, y=y_best))
     return results, {"lower_le_congruence_upper": lower <= cong.density}, 0
 
 
@@ -193,7 +193,7 @@ def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
         formula = f"mertens_product({a.y}) / ({a.ell} - {a.y})"
         return [_bound(a, "eta_upper", val, formula, ell=a.ell, y=a.y)]
     formula = f"mertens_product({a.ell + 1}) / {a.ell}"
-    # Rendered before the scan, so a value past the digit limit refuses at once.
+    # Rendered before the scan, so a value past the digit limit refuses.
     results = [_bound(a, "eta_lower", polignac.eta_lower(a.ell), formula, ell=a.ell)]
     bounds = polignac.eta_bounds(a.ell)
     if bounds.best_upper is not None:
@@ -203,15 +203,9 @@ def _eta(a: argparse.Namespace) -> list | tuple[list, dict, int]:
     return results, {"parameters": parameters, "upper_by_y": _json(a, bounds.upper_by_y)}, 0
 
 
-def _bundle_json(a: argparse.Namespace, bundle: polignac.ConstructionBundle) -> dict:
-    fields = vars(bundle).copy()
-    A_density = fields.pop("A_density")
-    return _record(a, "construction", **fields, elements=bundle.elements, A_density=A_density)
-
-
 def _construct(a: argparse.Namespace) -> list | tuple[list, dict, int]:
     bundle = polignac.build_construction(a.ell, a.y)
-    results = [_bundle_json(a, bundle)]
+    results = [_record(a, "construction", **vars(bundle))]
     if not a.verify:
         return results
     chk = polignac.verify_construction(bundle)
@@ -224,7 +218,7 @@ def _pintz(a: argparse.Namespace) -> list:
     decimal = to_decimal(Fraction(constant), a.sig_digits)
     return [
         _record(a, "pintz_interval_constant", int=int_to_str(constant), decimal=decimal),
-        _bundle_json(a, bundle),
+        _record(a, "construction", **vars(bundle)),
     ]
 
 
@@ -293,8 +287,10 @@ def _lll_survival(a: argparse.Namespace) -> list:
 
 def _admissible(a: argparse.Namespace) -> list:
     h = _parse_tuple(a.tuple)
+    # The budgeted profile first, so a tuple too long for it refuses before the scan.
+    counts = residue_profile(h, len(h))
     return [_record(a, "admissible", tuple=h, admissible=is_admissible(h),
-                    residue_counts=residue_profile(h, len(h)))]
+                    residue_counts=counts)]
 
 
 def _parse_tuple(text: str) -> IntTuple:
@@ -349,8 +345,7 @@ _X_MULT_HELP = "window half-width as a multiple of primorial(k)"
 _X_MULT = _flag("--x-mult", default=1, help=_X_MULT_HELP)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand of the table.
 
     ``flags`` lists ``add_argument`` specs in parameter order; a list
@@ -497,7 +492,7 @@ COMMANDS: dict[str, Command] = {
         _admissible,
     ),
     "first-k": Command(
-        "lexicographically first admissible k-tuple",
+        "admissible k-tuple: 1 and the first k-1 primes above k",
         (_K,),
         lambda a: [_record(a, "first_k_admissible", k=a.k, elements=first_k_admissible(a.k))],
     ),

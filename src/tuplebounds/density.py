@@ -14,11 +14,11 @@ for an end-to-end check against the exact product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, exp, log
 from operator import and_, or_
+from types import SimpleNamespace
 
 from .arith import GAMMA, check_power_digits, exp_to_decimal, is_prime, primes_up_to
 from .errors import DomainError, ResourceLimitError
@@ -78,25 +78,16 @@ def rho_adm_mod_p_bruteforce(m: int, p: int) -> Fraction:
     return Fraction(total - covering, total)
 
 
-@dataclass(frozen=True)
-class AdmissibleDensityReport:
-    """Exact admissible density with its per-prime factors.
+def rho_adm_exact(m: int) -> SimpleNamespace:
+    """Admissible density as the product of per-prime factors over p <= m.
 
-    The asymptotic field renders the prediction 1/(e^gamma log m)^m and
-    the ratio divides the exact density by it; both are None at m = 1
-    where log m vanishes.  Neither carries a tolerance: the error term
-    is only known to be e^(o(m)).  :func:`rho_adm_exact` raises
-    ResourceLimitError where (e^gamma log m)^m leaves float range.
+    Fields: ``per_prime`` ({p: factor}), ``total``, ``asymptotic``, which
+    renders the prediction 1/(e^gamma log m)^m, and ``asymptotic_ratio``,
+    the exact density divided by it; both are None at m = 1 where log m
+    vanishes.  Neither carries a tolerance: the error term is only known
+    to be e^(o(m)).  Raises ResourceLimitError where (e^gamma log m)^m
+    leaves float range.
     """
-
-    per_prime: dict[int, Fraction]
-    total: Fraction
-    asymptotic: str | None
-    asymptotic_ratio: float | None
-
-
-def rho_adm_exact(m: int) -> AdmissibleDensityReport:
-    """Admissible density as the product of per-prime factors over p <= m."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     # Checked before the product, which takes seconds from m ~ 1000 on.
@@ -115,17 +106,9 @@ def rho_adm_exact(m: int) -> AdmissibleDensityReport:
     else:
         asymptotic = None
         ratio = None
-    return AdmissibleDensityReport(
+    return SimpleNamespace(
         per_prime=per_prime, total=total, asymptotic=asymptotic, asymptotic_ratio=ratio
     )
-
-
-@dataclass(frozen=True)
-class McDensityEstimate:
-    estimate: float
-    std_error: float
-    successes: int
-    samples: int
 
 
 def rho_adm_mc(
@@ -134,8 +117,9 @@ def rho_adm_mc(
     samples: int = 10_000,
     seed: int = 0,
     shards: int = 1,
-) -> McDensityEstimate:
-    """Admissible fraction of random distinct m-subsets of [-B, B].
+) -> SimpleNamespace:
+    """Admissible fraction of random distinct m-subsets of [-B, B]: fields
+    ``estimate``, ``std_error``, ``successes`` and ``samples``.
 
     Each sample is the m-subset that ``rng.sample(range(-B, B + 1), m)``
     picks, drawn call for call as that method draws it, so a seed gives
@@ -187,24 +171,16 @@ def rho_adm_mc(
                 successes += 1
     est = successes / samples
     se = (est * (1.0 - est) / samples) ** 0.5
-    return McDensityEstimate(samples=samples, successes=successes, estimate=est, std_error=se)
+    return SimpleNamespace(estimate=est, std_error=se, successes=successes, samples=samples)
 
 
-@dataclass(frozen=True)
-class SummandRatioReport:
-    """Consecutive-term ratios of the alternating sum at (m, p)."""
+def summand_ratio_check(m: int, p: int) -> SimpleNamespace:
+    """Consecutive-term ratios of the alternating sum at (m, p): fields
+    ``ratios`` ({j: term j / term j+1}), ``threshold`` and ``all_above``.
 
-    ratios: dict[int, Fraction]
-    threshold: float
-    all_above: bool
-
-
-def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
-    """Ratio of term j to term j+1, for p in the small-prime regime.
-
-    Requires m >= 3 and p <= m / log m; in that range every ratio should
-    clear 2 log m, which makes the alternating sum effectively dominated
-    by its first term.
+    Requires m >= 3 and p <= m / log m, the small-prime regime; in that
+    range every ratio should clear threshold = 2 log m, which makes the
+    alternating sum effectively dominated by its first term.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
@@ -222,4 +198,4 @@ def summand_ratio_check(m: int, p: int) -> SummandRatioReport:
     ratios = {j: Fraction(terms[j - 1], terms[j]) for j in range(1, j_max)}
     threshold = 2.0 * log(m)
     all_above = all(r >= threshold for r in ratios.values())
-    return SummandRatioReport(ratios=ratios, threshold=threshold, all_above=all_above)
+    return SimpleNamespace(ratios=ratios, threshold=threshold, all_above=all_above)

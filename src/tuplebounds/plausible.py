@@ -13,10 +13,10 @@ caller-supplied constants and never asserted.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import ceil, comb, exp, inf, isfinite, isqrt, log
+from types import SimpleNamespace
 
 from . import arith
 from .errors import DomainError, RegressionFailure, ResourceLimitError
@@ -100,28 +100,16 @@ def max_q_for(m: int, k: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class CongruenceUpperBound:
-    q: int
-    density: Fraction
-
-
-def delta_upper_congruence(m: int, k: int) -> CongruenceUpperBound:
-    """Density 1/q^(m-1) of the maximal single-class congruence family."""
+def delta_upper_congruence(m: int, k: int) -> SimpleNamespace:
+    """Density 1/q^(m-1) of the maximal single-class congruence family:
+    fields ``q`` (:func:`max_q_for`) and ``density``."""
     q = max_q_for(m, k)
-    return CongruenceUpperBound(q=q, density=Fraction(1, q ** (m - 1)))
+    return SimpleNamespace(q=q, density=Fraction(1, q ** (m - 1)))
 
 
-@dataclass(frozen=True)
-class PigeonholeWitness:
-    phi_q: int
-    classes_occupied: int
-    residue: int
-    members: tuple[int, ...]
-
-
-def verify_pigeonhole(m: int, k: int, q: int, tup: Collection[int]) -> PigeonholeWitness:
-    """Extract m elements of an admissible k-tuple congruent mod q.
+def verify_pigeonhole(m: int, k: int, q: int, tup: Collection[int]) -> SimpleNamespace:
+    """Extract m elements of an admissible k-tuple congruent mod q: fields
+    ``phi_q``, ``classes_occupied``, ``residue`` and ``members``.
 
     The tuple occupies at most phi(q) classes mod q (admissibility gives
     n_p <= p-1 for each prime p of q, and classes multiply across the
@@ -142,12 +130,8 @@ def verify_pigeonhole(m: int, k: int, q: int, tup: Collection[int]) -> Pigeonhol
         raise RegressionFailure(f"{len(buckets)} classes mod {q} exceeds phi={phi_q}")
     for residue, members in buckets.items():
         if len(members) >= m:
-            return PigeonholeWitness(
-                phi_q=phi_q,
-                classes_occupied=len(buckets),
-                residue=residue,
-                members=tuple(sorted(members)[:m]),
-            )
+            return SimpleNamespace(phi_q=phi_q, classes_occupied=len(buckets),
+                                   residue=residue, members=tuple(sorted(members)[:m]))
     raise RegressionFailure(f"no class mod {q} holds {m} elements although (m-1)*phi(q) < k")
 
 
@@ -162,19 +146,13 @@ def counting_power_bound(m: int, k: int) -> Fraction:
     return base**m
 
 
-@dataclass(frozen=True)
-class LLLParameters:
-    """Event counts and probabilities for the local-lemma survival bound."""
+def lll_parameters(m: int, k: int) -> SimpleNamespace:
+    """Event counts and probabilities for the local-lemma survival bound.
 
-    n_events: int
-    dependency_degree: int
-    event_prob_bound: Fraction
-    survival_exponent: Fraction
-    exponent_within_target: bool
-
-
-def lll_parameters(m: int, k: int) -> LLLParameters:
-    """n = C(k,2)+C(k,m), d = 2m*C(k-1,m-1), p = 1/(4d); reports 2pn."""
+    Fields: ``n_events`` n = C(k,2)+C(k,m), ``dependency_degree``
+    d = 2m*C(k-1,m-1), ``event_prob_bound`` p = 1/(4d),
+    ``survival_exponent`` 2pn and ``exponent_within_target`` 2pn <= k/(2m^2).
+    """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     if k < m:
@@ -188,21 +166,9 @@ def lll_parameters(m: int, k: int) -> LLLParameters:
     d = 2 * m * comb(k - 1, m - 1)
     p = Fraction(1, 4 * d)
     expo = 2 * p * n
-    return LLLParameters(
-        n_events=n,
-        dependency_degree=d,
-        event_prob_bound=p,
-        survival_exponent=expo,
-        exponent_within_target=expo <= Fraction(k, 2 * m * m),
-    )
-
-
-@dataclass(frozen=True)
-class TemplateValues:
-    """Display-formula evaluations; reporting aid only, never a bound."""
-
-    general_shape: float
-    congruence_shape: float
+    return SimpleNamespace(n_events=n, dependency_degree=d, event_prob_bound=p,
+                           survival_exponent=expo,
+                           exponent_within_target=expo <= Fraction(k, 2 * m * m))
 
 
 def asymptotic_template(
@@ -210,9 +176,10 @@ def asymptotic_template(
     k: int,
     c_upper: float = 1.0,
     c_lower: float = DEFAULT_C_LOWER,
-) -> TemplateValues:
+) -> SimpleNamespace:
     """Evaluate the two asymptotic shapes with supplied constants.
 
+    Display-formula evaluations, a reporting aid only, never a bound:
     general_shape = (log 2m)^(c_upper*m) / ((k/m) loglog(3k/m))^(m-1);
     congruence_shape = (c_lower / ((k/(m-1)) loglog(k/(m-1))))^(m-1).
     A power or quotient past float range raises ResourceLimitError.
@@ -226,23 +193,15 @@ def asymptotic_template(
         congruence = (c_lower / ((k / (m - 1)) * log(log(k / (m - 1))))) ** (m - 1)
     except OverflowError:
         raise ResourceLimitError(f"template shapes at m={m}, k={k} exceed float range") from None
-    return TemplateValues(general_shape=general, congruence_shape=congruence)
+    return SimpleNamespace(general_shape=general, congruence_shape=congruence)
 
 
-@dataclass(frozen=True)
-class DeltaChainReport:
-    """k_m and the congruence upper bound next to the e^(-c m^2) scale."""
-
-    k_m: int | None
-    congruence: CongruenceUpperBound | None
-    feasible: bool
-    reason: str | None
-    lower_reference_decimal: str
-    ordering_ok: bool | None
-
-
-def delta_m_chain(m: int, c: float = DEFAULT_C) -> DeltaChainReport:
+def delta_m_chain(m: int, c: float = DEFAULT_C) -> SimpleNamespace:
     """Chain k_m = ceil(e^(c*m)) (k_2 pinned to 50) into the q-search.
+
+    Fields: ``k_m``, ``congruence`` (the congruence upper bound, or None),
+    ``feasible``, ``reason`` (why it is None), ``lower_reference_decimal``
+    (the e^(-c m^2) scale it is set against) and ``ordering_ok``.
 
     At the default c the q-search is certified for m <= 8; from m = 9 on
     its sieve passes the cap, and the report falls back to formula values
@@ -292,11 +251,6 @@ def delta_m_chain(m: int, c: float = DEFAULT_C) -> DeltaChainReport:
                 f"congruence upper 1/{congruence.q}^{m - 1} fell below "
                 f"the e^(-{c}*{m}^2) scale"
             )
-    return DeltaChainReport(
-        k_m=k_m,
-        congruence=congruence,
-        feasible=congruence is not None,
-        reason=reason,
-        lower_reference_decimal=lower_decimal,
-        ordering_ok=ordering_ok,
-    )
+    return SimpleNamespace(k_m=k_m, congruence=congruence, feasible=congruence is not None,
+                           reason=reason, lower_reference_decimal=lower_decimal,
+                           ordering_ok=ordering_ok)

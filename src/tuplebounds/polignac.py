@@ -16,9 +16,9 @@ set's diameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from . import arith
 from .errors import DomainError, RegressionFailure, ResourceLimitError
@@ -43,15 +43,9 @@ def eta_upper(ell: int, y: int) -> Fraction:
     return arith.mertens_product(y) / (ell - y)
 
 
-@dataclass(frozen=True)
-class EtaBounds:
-    lower: Fraction
-    upper_by_y: dict[int, Fraction]
-    best_upper: tuple[int, Fraction] | None
-
-
-def eta_bounds(ell: int) -> EtaBounds:
-    """Lower bound plus the upper bound at every valid y, best marked.
+def eta_bounds(ell: int) -> SimpleNamespace:
+    """Lower bound plus the upper bound at every valid y, best marked:
+    fields ``lower``, ``upper_by_y`` and ``best_upper``, a (y, value) pair.
 
     Keeps a running Mertens product over y, on to ell+1 for the lower
     bound, so the scan costs one Fraction division per y.  A best upper
@@ -73,7 +67,7 @@ def eta_bounds(ell: int) -> EtaBounds:
         raise RegressionFailure(
             f"eta_lower({ell}) exceeds the upper bound at y = {best[0]}"
         )
-    return EtaBounds(lower=lower, upper_by_y=upper_by_y, best_upper=best)
+    return SimpleNamespace(lower=lower, upper_by_y=upper_by_y, best_upper=best)
 
 
 def delta2_lower(k: int) -> Fraction:
@@ -88,34 +82,15 @@ def delta2_lower(k: int) -> Fraction:
     return eta_lower(k - 1)
 
 
-@dataclass(frozen=True)
-class ConstructionBundle:
-    """Covering-construction data: congruence set A and finite set B.
+def build_construction(ell: int, y: int) -> SimpleNamespace:
+    """Materialize the covering construction for (ell, y): fields ``ell``,
+    ``y``, ``v``, ``r``, ``M``, ``h``, ``q``, ``B1``, ``B2``, ``elements``
+    (B sorted) and ``A_density``, of congruence set A and finite set B.
 
     A = { a : a mod q in [0, h) and gcd(a+1, r) = 1 } has density
     h*phi(r)/(q*r); B = B1 union B2 holds ell distinct values, where B1
     realizes i*h mod q for i = 0..v with all elements 1 mod M, and B2
     fills the residue classes 2..p-1 mod each prime p <= y.
-    """
-
-    ell: int
-    y: int
-    v: int
-    r: int
-    M: int
-    h: int
-    q: int
-    B1: tuple[int, ...]
-    B2: tuple[int, ...]
-    A_density: Fraction
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.B1 + self.B2))
-
-
-def build_construction(ell: int, y: int) -> ConstructionBundle:
-    """Materialize the covering construction for (ell, y).
 
     Takes the smallest h making q = h*v + 1 a prime above ell; minimal h
     keeps the verification period q*r small.
@@ -161,10 +136,9 @@ def build_construction(ell: int, y: int) -> ConstructionBundle:
         b2.append(rep)
     B2 = tuple(b2)
 
-    bundle = ConstructionBundle(
-        ell=ell, y=y, v=v, r=r, M=M, h=h, q=q, B1=B1, B2=B2,
-        A_density=Fraction(h * arith.primorial_totient(y), q * r),
-    )
+    bundle = SimpleNamespace(ell=ell, y=y, v=v, r=r, M=M, h=h, q=q, B1=B1, B2=B2,
+                             elements=tuple(sorted(B1 + B2)),
+                             A_density=Fraction(h * arith.primorial_totient(y), q * r))
     if len(set(bundle.elements)) != ell:
         raise RegressionFailure(f"construction at ell={ell}, y={y} repeats an element")
     # Exact: ell elements need only miss a class mod each prime <= ell,
@@ -174,21 +148,13 @@ def build_construction(ell: int, y: int) -> ConstructionBundle:
     return bundle
 
 
-@dataclass(frozen=True)
-class ConstructionCheck:
-    ok: bool
-    period: int
-    checked: int
-    counterexample: int | None
-    density_count: int
-    density_expected: int
-
-
-def verify_construction(bundle: ConstructionBundle) -> ConstructionCheck:
+def verify_construction(bundle: SimpleNamespace) -> SimpleNamespace:
     """Exhaustive check of the covering property over one period.
 
     For every t in [0, q*r) coprime to r, some b in B1 must satisfy
     t - b in A.  Also recounts |A| over the period against h*phi(r).
+    Fields: ``ok``, ``period``, ``checked``, ``counterexample`` (the first
+    uncovered t), ``density_count`` and ``density_expected``.
     """
     q, r, h = bundle.q, bundle.r, bundle.h
     period = q * r
@@ -211,17 +177,12 @@ def verify_construction(bundle: ConstructionBundle) -> ConstructionCheck:
 
     density_count = sum(1 for a in range(period) if in_a(a))
     expected = h * arith.primorial_totient(bundle.y)
-    return ConstructionCheck(
-        ok=counterexample is None and density_count == expected,
-        period=period,
-        checked=checked,
-        counterexample=counterexample,
-        density_count=density_count,
-        density_expected=expected,
-    )
+    return SimpleNamespace(ok=counterexample is None and density_count == expected,
+                           period=period, checked=checked, counterexample=counterexample,
+                           density_count=density_count, density_expected=expected)
 
 
-def pintz_interval_constant(bundle: ConstructionBundle, k2: int) -> int:
+def pintz_interval_constant(bundle: SimpleNamespace, k2: int) -> int:
     """primorial(k2) plus the diameter of B.
 
     Every interval of this length contains a difference realized by the

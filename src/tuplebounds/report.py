@@ -7,8 +7,8 @@ consumers never have to re-derive exact values from floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .arith import rational_to_json
 
@@ -36,15 +36,13 @@ NOTE_MODEL = (
 )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(SimpleNamespace):
     """A named exact value with its decimal rendering."""
 
-    name: str
-    value: Fraction
-    sig_digits: int = 12
-    formula: str = ""
-    detail: dict = field(default_factory=dict)
+    def __init__(self, name: str, value: Fraction, sig_digits: int = 12, formula: str = "",
+                 detail: dict | None = None):
+        super().__init__(name=name, value=value, sig_digits=sig_digits, formula=formula,
+                         detail=detail or {})
 
     def to_json(self) -> dict:
         out = {"name": self.name}

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd, inf, isfinite, log, perm
+from types import SimpleNamespace
 from typing import Collection, Iterator
 
 from . import arith
@@ -111,23 +111,6 @@ class CoprimeWindowSampler:
                 return tuple(sorted(batch))
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    threshold: float
-    successes: int
-    samples: int
-    estimate: float
-    std_error: float
-
-
-@dataclass(frozen=True)
-class TupleStatistics:
-    f_values: list[float]
-    X_values: list[float]
-    zero_counts: dict[int, int]
-    tail_estimates: dict[str, TailEstimate]
-
-
 def shard_streams(seed: int, total: int, shards: int) -> Iterator[tuple[random.Random, int]]:
     """One ``(rng, n)`` per shard: its random stream and its share of ``total``.
 
@@ -163,8 +146,12 @@ def sample_f_statistics(
     c: float = 2.0,
     c_prime: float = 2.0,
     shards: int = 1,
-) -> TupleStatistics:
+) -> SimpleNamespace:
     """Empirical f(B), X(B), and per-prime zero counts over random B.
+
+    Fields: ``f_values``, ``X_values``, ``zero_counts`` ({p: count}) and
+    ``tail_estimates`` ({"f": tail, "X": tail}, each tail with fields
+    ``threshold``, ``successes``, ``samples``, ``estimate``, ``std_error``).
 
     Thresholds: f at (log 3m)^(c*m) * (loglog k)^(m-1), X at
     loglog(r) + c_prime with r = max(m^2, m log k).  The constants c and
@@ -216,31 +203,21 @@ def sample_f_statistics(
             x_vals.append(x_stat)
 
     tails = {"f": _tail(f_vals, thr_f), "X": _tail(x_vals, thr_x)}
-    return TupleStatistics(
+    return SimpleNamespace(
         f_values=f_vals, X_values=x_vals, zero_counts=dict(zero_counts), tail_estimates=tails
     )
 
 
-def _tail(values: list[float], threshold: float) -> TailEstimate:
+def _tail(values: list[float], threshold: float) -> SimpleNamespace:
     hits = sum(1 for v in values if v > threshold)
     n = len(values)
-    return TailEstimate(
-        threshold=threshold,
-        successes=hits,
-        samples=n,
-        estimate=hits / n,
-        std_error=wilson_halfwidth(hits, n),
-    )
+    return SimpleNamespace(threshold=threshold, successes=hits, samples=n, estimate=hits / n,
+                           std_error=wilson_halfwidth(hits, n))
 
 
-@dataclass(frozen=True)
-class ChernoffBound:
-    moment_product: float
-    tail_bound: float
-
-
-def chernoff_tail_bound(m: int, k: int, r: float, s: float) -> ChernoffBound:
-    """e^(-rs) * prod_p E[e^{r X_p / p}] over m^2 < p <= k.
+def chernoff_tail_bound(m: int, k: int, r: float, s: float) -> SimpleNamespace:
+    """e^(-rs) * prod_p E[e^{r X_p / p}] over m^2 < p <= k: fields
+    ``moment_product``, the product, and ``tail_bound``.
 
     Per prime, E = P0 + (1 - P0) e^{r/p} with the exact rational
     birthday P0; only the exponential factor is float64.  An e^{r/p}, a
@@ -265,19 +242,13 @@ def chernoff_tail_bound(m: int, k: int, r: float, s: float) -> ChernoffBound:
             product = inf
         if not isfinite(product):
             raise ResourceLimitError(f"moment product at r={r} exceeds float range at p={p}")
-    return ChernoffBound(moment_product=product, tail_bound=exp(-r * s) * product)
+    return SimpleNamespace(moment_product=product, tail_bound=exp(-r * s) * product)
 
 
-@dataclass(frozen=True)
-class TranslationClassCount:
-    exact_count: int
-    crt_predicted: int
-    density_bound: Fraction
-
-
-def translation_class_count(h: Collection[int], x: int, k: int) -> TranslationClassCount:
+def translation_class_count(h: Collection[int], x: int, k: int) -> SimpleNamespace:
     """Count translates of h landing entirely on coprime values.
 
+    Fields: ``exact_count``, ``crt_predicted`` and ``density_bound``.
     exact_count scans every shift in (-x, x] and tests gcd directly, up
     to len(h) gcds per shift, so the scan budget counts shifts times
     elements; crt_predicted multiplies the free residue counts p - n_p
@@ -300,15 +271,7 @@ def translation_class_count(h: Collection[int], x: int, k: int) -> TranslationCl
     for p, n_p in residue_profile(h, k).items():
         crt *= p - n_p
         bound *= Fraction(p - n_p, p)
-    return TranslationClassCount(exact_count=exact, crt_predicted=crt, density_bound=bound)
-
-
-@dataclass(frozen=True)
-class SurvivalEstimate:
-    survivors: int
-    estimate: float
-    std_error: float
-    reference: float
+    return SimpleNamespace(exact_count=exact, crt_predicted=crt, density_bound=bound)
 
 
 def lll_survival_experiment(
@@ -319,8 +282,9 @@ def lll_survival_experiment(
     seed: int,
     q: int | None = None,
     shards: int = 1,
-) -> SurvivalEstimate:
-    """Fraction of iid k-draws that are distinct and avoid m-collisions.
+) -> SimpleNamespace:
+    """Fraction of iid k-draws that are distinct and avoid m-collisions:
+    fields ``survivors``, ``estimate``, ``std_error`` and ``reference``.
 
     The avoid-set is the single-class congruence family mod q: a draw
     fails if any residue class mod q receives m or more of its k
@@ -348,9 +312,6 @@ def lll_survival_experiment(
             if q is not None and max(Counter(b % q for b in batch).values()) >= m:
                 continue
             survivors += 1
-    return SurvivalEstimate(
-        survivors=survivors,
-        estimate=survivors / trials,
-        std_error=wilson_halfwidth(survivors, trials),
-        reference=exp(-k / (2.0 * m * m)),
-    )
+    return SimpleNamespace(survivors=survivors, estimate=survivors / trials,
+                           std_error=wilson_halfwidth(survivors, trials),
+                           reference=exp(-k / (2.0 * m * m)))

@@ -6,8 +6,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -75,6 +75,24 @@ def test_delta2_report_degenerate_k2(capsys):
     assert code == 0
     names = [r["name"] for r in env["results"]]
     assert "best_eta_upper" not in names  # ell = 1 admits no upper split
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("7000", "a 16027-bit integer exceeds the 4300-digit int->str limit"),
+        ("12000", "a power of over 27964 bits exceeds the 4300-digit int->str limit"),
+    ],
+)
+def test_delta2_report_refuses_before_the_eta_scan(capsys, monkeypatch, k, message):
+    # The counting bound does not print at these k, so no scan may run first.
+    def no_scan(ell):
+        raise RuntimeError("eta_bounds ran before the refusal")
+
+    monkeypatch.setattr(polignac, "eta_bounds", no_scan)
+    code, env = run(capsys, "delta2-report", "--k", k)
+    assert code == 4
+    assert env["error"]["message"] == message
 
 
 def test_rho_adm_exact(capsys):
@@ -229,7 +247,8 @@ def test_construct_exit_2_on_failed_verification(capsys, monkeypatch):
 
     def broken(bundle, budget=None):
         chk = orig(bundle)
-        return type(chk)(False, chk.period, chk.checked, 3, chk.density_count, 0)
+        return SimpleNamespace(ok=False, period=chk.period, checked=chk.checked, counterexample=3,
+                               density_count=chk.density_count, density_expected=0)
 
     monkeypatch.setattr(cli.polignac, "verify_construction", broken)
     code, env = run(capsys, "construct", "--ell", "3", "--y", "1", "--verify")
@@ -316,7 +335,7 @@ def test_delta_chain_ordering_fault_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
         plausible,
         "delta_upper_congruence",
-        lambda m, k: replace(orig(m, k), density=Fraction(1, 10**9)),
+        lambda m, k: SimpleNamespace(**{**vars(orig(m, k)), "density": Fraction(1, 10**9)}),
     )
     code, env = run(capsys, "delta-chain", "--m", "2")
     assert code == 2
@@ -658,6 +677,18 @@ def test_admissible_command(capsys):
     assert result_named(env, "admissible")["admissible"] is False
 
 
+def test_admissible_refuses_a_tuple_past_the_profile_budget(capsys):
+    # 20000 elements times 2262 primes: unbudgeted, the profile alone took
+    # about 4.7 s on a 2-vCPU Xeon.
+    text = ",".join(map(str, tuples.first_k_admissible(20000)))
+    t0 = time.perf_counter()
+    code, env = run(capsys, "admissible", "--tuple", text)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 4
+    message = "profile of 20000 elements times 2262 primes exceeds budget 5000000"
+    assert env["error"]["message"] == message
+
+
 def test_first_k_command(capsys):
     code, env = run(capsys, "first-k", "--k", "5")
     assert code == 0
@@ -687,23 +718,11 @@ def test_every_envelope_carries_version_and_command(capsys):
         assert env["command"] == argv[0]
 
 
-@dataclass(frozen=True)
-class _Inner:
-    z: Fraction
-    a: tuple
-
-
-@dataclass(frozen=True)
-class _Outer:
-    y: int
-    x: _Inner
-
-
 def test_json_renders_values_recursively():
     a = argparse.Namespace(sig_digits=3)
     for value in (True, False, None, 0.25, "text"):
         assert cli._json(a, value) is value
-    rendered = cli._json(a, _Outer(7, _Inner(Fraction(1, 3), (1, 2))))
+    rendered = cli._json(a, SimpleNamespace(y=7, x=SimpleNamespace(z=Fraction(1, 3), a=(1, 2))))
     assert list(rendered) == ["y", "x"]
     assert list(rendered["x"]) == ["z", "a"]
     assert rendered["x"]["z"] == {"num": "1", "den": "3", "decimal": "0.333"}

@@ -1,8 +1,8 @@
 """Pair-density bounds and the covering construction."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import exp, gcd, log
+from types import SimpleNamespace
 
 import pytest
 from oracles import construction_by_pairwise_crt
@@ -156,16 +156,16 @@ def test_construction_self_check_rejects_a_slot_in_class_0_mod_2(monkeypatch, el
     # Adding M/2 (odd, 0 mod every odd prime <= ell) moves the first B2
     # slot from class 1 to class 0 mod 2 and keeps its other residues.
     # Every other element is odd, so both classes mod 2 are then hit.
-    bundle = polignac.ConstructionBundle
-
+    # The mutant stands in for the namespace build_construction builds.
     def mutant(**fields):
         B2 = (fields["B2"][0] + fields["M"] // 2,) + fields["B2"][1:]
-        return bundle(**{**fields, "B2": B2})
+        elements = tuple(sorted(fields["B1"] + B2))
+        return SimpleNamespace(**{**fields, "B2": B2, "elements": elements})
 
     b = mutant(**vars(polignac.build_construction(ell, y)))
     assert not is_admissible(b.elements)
     assert any(gcd(e, b.M) != 1 for e in b.elements)
-    monkeypatch.setattr(polignac, "ConstructionBundle", mutant)
+    monkeypatch.setattr(polignac, "SimpleNamespace", mutant)
     with pytest.raises(RegressionFailure, match="not admissible"):
         polignac.build_construction(ell, y)
 
@@ -195,7 +195,7 @@ def test_verify_construction_full_grid():
 def test_verify_construction_finds_an_uncovered_element(ell, y, counterexample, checked):
     # Without its last B1 element the construction leaves a gap in the period.
     b = polignac.build_construction(ell, y)
-    chk = polignac.verify_construction(replace(b, B1=b.B1[:-1]))
+    chk = polignac.verify_construction(SimpleNamespace(**{**vars(b), "B1": b.B1[:-1]}))
     assert (chk.ok, chk.counterexample, chk.checked) == (False, counterexample, checked)
 
 

@@ -134,6 +134,28 @@ def test_numpy_is_never_loaded_by_the_package():
     assert probe["after_oracle"] is False
 
 
+_START_UP_PROBE = """
+import contextlib, io, json, sys
+import tuplebounds.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["check-constants"])
+print(json.dumps([code, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+"""
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # Records are SimpleNamespace and Command a NamedTuple: dataclasses would
+    # pull in inspect, ast, dis and tokenize on every fresh process.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_PROBE], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
 def test_large_construction_and_first_k_answer_in_seconds():
     # The closed forms answer these in well under a second each; the
     # per-prime CRT fold and the gcd scan took 7 s and over 90 s.

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from oracles import enumerate_sample_space, first_k_by_gcd_scan
 
+from tuplebounds import tuples
 from tuplebounds.arith import MAX_SIEVE_LIMIT, primes_up_to, primorial
 from tuplebounds.errors import DomainError, ResourceLimitError
 from tuplebounds.tuples import (
@@ -58,6 +59,15 @@ def test_residue_count_basics():
 
 def test_residue_profile():
     assert residue_profile(IntTuple((0, 2, 6)), 5) == {2: 1, 3: 2, 5: 3}
+
+
+def test_residue_profile_budget_counts_elements_times_primes(monkeypatch):
+    # 3 elements mod the 3 primes up to 5 take 9 residue steps.
+    monkeypatch.setattr(tuples, "RESIDUE_PROFILE_BUDGET", 9)
+    assert residue_profile(IntTuple((0, 2, 6)), 5) == {2: 1, 3: 2, 5: 3}
+    monkeypatch.setattr(tuples, "RESIDUE_PROFILE_BUDGET", 8)
+    with pytest.raises(ResourceLimitError, match="3 elements times 3 primes exceeds budget 8"):
+        residue_profile(IntTuple((0, 2, 6)), 5)
 
 
 def test_admissibility_known_examples():
